@@ -23,10 +23,9 @@ or as vectorized numpy array code:
   numba import succeeds; see *Optional backends* below for the fallback
   contract.
 - ``numba-parallel`` — ``numba`` plus ``numba.prange`` execution of the
-  conflict-free sub-batches (the 2PS-L scoring batch and the Phase-1
-  migration batch), registered and missing together with ``numba``.
-  See *Parallel sub-batch determinism* below for the rules that keep it
-  bit-exact.
+  conflict-free Phase-1 migration sub-batches, registered and missing
+  together with ``numba``.  See *Parallel sub-batch determinism* below
+  for the rules that keep it bit-exact.
 
 Backend contract
 ----------------
@@ -46,11 +45,16 @@ decision depends on state mutated by earlier edges.  The ``numpy`` backend
 preserves serial semantics with two techniques:
 
 - *Conflict-free sub-batching* (Phase-1 clustering, 2PS-L scoring): an
-  edge can be scored/migrated vectorized only when no other edge in the
-  chunk touches the same mutable state (vertex replica rows for scoring;
-  vertices *and* clusters for Phase-1 migration), and processing it out of
-  order is provably equivalent; every colliding edge falls through to the
-  serial reference kernel, in stream order.
+  edge is migrated/scored vectorized only when no earlier edge of its
+  block can have changed the state it reads, so processing it out of
+  order is provably equivalent; every other edge falls through to the
+  serial reference kernel, in stream order.  Phase-1 migration checks
+  vertices *and* clusters.  2PS-L scoring checks at (vertex, partition)
+  cell granularity: an edge reads only its four candidate cells
+  ``(u,p1) (u,p2) (v,p1) (v,p2)``, replica bits are monotone (0 -> 1
+  only), so a cell set at block entry can never change, and the edge
+  conflicts only if one of its cells *unset* at entry is also an unset
+  cell of an earlier block edge.
 - *Speculate-verify-repair* (the 2PS-HDRF remaining pass, where every
   edge mutates the partition sizes every other edge's balance term
   reads, so no conflict-free subset exists): block decisions are guessed
@@ -61,25 +65,32 @@ preserves serial semantics with two techniques:
   exact scalar engine (``_HdrfScalarEngine``) that collapses the k-way
   argmax to at most four candidates.
 
-In both techniques, a whole block falls back to the serial kernel
-whenever any partition could hit the hard balance cap inside it (the
-remaining capacity ``capacity - max(sizes)`` is smaller than the block's
-candidate count), because cap overflow makes decisions order-dependent
-through the masking / hash / least-loaded fallback chains.
+Cap overflow makes decisions order-dependent through the masking /
+hash / least-loaded fallback chains, and the hash / least-loaded
+fallback writes cells outside an edge's candidates, so no batch may
+span an edge that could reach the hard balance cap.  The 2PS-L passes
+(pre-partitioning and scoring) make a *per-partition prefix cut*: they
+count, per partition and in stream order, the earlier edges of the
+block (of the chunk, in the pre-partition pass) that could be assigned
+there (the one target of a pre-partitioned edge, both candidates of a
+scored edge) — an upper bound on that partition's size at every edge —
+and cut at the first edge where the bound could reach the cap.  Edges before the cut are batched (subject to the
+conflict filter above); edges from the cut on run serially, in stream
+order.  The 2PS-HDRF pass, whose edges name all ``k`` partitions, runs
+the whole block serially whenever ``capacity - max(sizes)`` is smaller
+than the block length.
 
 Parallel sub-batch determinism
 ------------------------------
 A backend may execute a conflict-free sub-batch with *thread-level*
-parallelism (the ``numba-parallel`` backend runs the hooks
-``_apply_remaining_batch`` and ``_migrate_batch`` under
-``numba.prange``) only under these rules, which make the schedule
-unobservable:
+parallelism (the ``numba-parallel`` backend runs the Phase-1 hook
+``_migrate_batch`` under ``numba.prange``) only under these rules,
+which make the schedule unobservable:
 
 - every parallel row must read and write state no other row of the
   region touches — exactly the conflict-freedom invariant the sub-batch
-  filters already establish (pairwise-disjoint endpoint replica rows for
-  scoring; block-unique vertices *and* block-private clusters for
-  Phase-1 migration);
+  filter already establishes (block-unique vertices *and* block-private
+  clusters for Phase-1 migration);
 - any cross-row aggregate must be an **order-insensitive reduction**
   (integer sums, ``np.bincount`` over the per-row outputs) or must be
   serialized outside the parallel region — float accumulation across
@@ -88,6 +99,10 @@ unobservable:
 - when the parallel runtime is absent the same kernel body must run
   serially (``prange`` degrades to ``range``), so the fallback is
   deterministic by construction, not by luck.
+
+The 2PS-L scoring batch has no such hook: it is a handful of array
+operations over the cells gathered at block entry, applied by the
+block's single scatter, so there is no per-row loop to parallelize.
 
 Under these rules parallel execution is bit-identical to the serial
 backends for every schedule and thread count;

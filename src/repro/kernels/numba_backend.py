@@ -426,40 +426,6 @@ def _hdrf_baseline_kernel(
 prange = range
 
 
-def _remaining_batch_kernel(
-    bu, bv, bp1, bp2, br1, br2, btu, btv, replicas, out_p
-):
-    """Conflict-free sub-batch of the 2PS-L scoring pass, row-parallel.
-
-    The caller guarantees pairwise-disjoint endpoint pairs, so each row
-    reads and writes replica rows no other row touches — iterations are
-    independent and the ``prange`` schedule cannot change results.  Size
-    updates and assignment scatters stay with the caller (order-
-    insensitive reductions, per the package determinism rules).
-    """
-    for i in prange(bu.shape[0]):
-        u = bu[i]
-        v = bv[i]
-        p1 = bp1[i]
-        p2 = bp2[i]
-        # Same association order as the reference: ratio, +u, +v.
-        s1 = br1[i]
-        if replicas[u, p1]:
-            s1 += btu[i]
-        if replicas[v, p1]:
-            s1 += btv[i]
-        s2 = br2[i]
-        if replicas[u, p2]:
-            s2 += btu[i]
-        if replicas[v, p2]:
-            s2 += btv[i]
-        p = p1 if s1 >= s2 else p2
-        replicas[u, p] = True
-        replicas[v, p] = True
-        out_p[i] = p
-    return 0
-
-
 def _cluster_migrate_kernel(v2c, vols, deg, u, v, cu, cv, cap):
     """Conflict-free Algorithm-1 migrations, row-parallel.
 
@@ -506,7 +472,6 @@ _KERNEL_BODIES = {
 #: rows).  Kept apart from the serial bodies so the jit options differ;
 #: interpreted mode serves them as-is (``prange`` is ``range`` then).
 _PARALLEL_KERNEL_BODIES = {
-    "remaining_batch": _remaining_batch_kernel,
     "cluster_migrate": _cluster_migrate_kernel,
 }
 
@@ -721,23 +686,24 @@ class NumbaBackend(NumpyBackend):
 
 
 class NumbaParallelBackend(NumbaBackend):
-    """``numba`` plus ``prange`` over the conflict-free sub-batches.
+    """``numba`` plus ``prange`` over the Phase-1 migration sub-batches.
 
     The serial compiled loops of :class:`NumbaBackend` are already the
     fastest path for the conflict-*dominated* work; what they leave on
-    the table is the conflict-free share the ``numpy`` backend batches —
-    those rows are provably order-independent, so they can run on all
-    cores.  This backend therefore routes the 2PS-L remaining pass and
-    the Phase-1 true-degree pass through the *numpy* sub-batch
-    orchestration and overrides exactly the two conflict-free hooks with
-    ``parallel=True`` kernels (``prange`` over rows); the serial residue
-    of each block still runs the reference kernels.  Determinism: every
-    parallel region writes disjoint state per row and all reductions are
-    order-insensitive (see the package determinism rules), so results
-    are bit-identical to the serial ``numba`` backend — pinned by
-    ``tests/test_numba_backend.py``.  Without numba the hooks run
-    interpreted with ``prange == range``: the documented serial
-    fallback.
+    the table in Phase 1 is the conflict-free share the ``numpy``
+    backend batches — those rows are provably order-independent, so
+    they can run on all cores.  This backend therefore routes the
+    Phase-1 true-degree pass through the *numpy* sub-batch
+    orchestration and overrides its conflict-free migration hook with a
+    ``parallel=True`` kernel (``prange`` over rows); the serial residue
+    of each block still runs the reference kernel.  Every other pass,
+    the 2PS-L remaining pass included, is the serial ``numba`` one.
+    Determinism: the parallel region writes disjoint state per row and
+    its reduction is order-insensitive (see the package determinism
+    rules), so results are bit-identical to the serial ``numba``
+    backend — pinned by ``tests/test_numba_backend.py``.  Without numba
+    the hook runs interpreted with ``prange == range``: the documented
+    serial fallback.
     """
 
     name = "numba-parallel"
@@ -756,36 +722,3 @@ class NumbaParallelBackend(NumbaBackend):
         return int(
             kernel(v2c, vol.view(), deg, u, v, cu, cv, float(cap))
         )
-
-    # ------------------------------------------------------------------
-    # Phase 2: numpy sub-batch orchestration + parallel batch hook
-    # ------------------------------------------------------------------
-    def remaining_pass_linear(self, stream, ctx) -> None:
-        NumpyBackend.remaining_pass_linear(self, stream, ctx)
-
-    def _apply_remaining_batch(
-        self, ctx, bu, bv, bp1, bp2, br1, br2, btu, btv
-    ) -> np.ndarray:
-        replicas = ctx.state.replicas
-        if not isinstance(replicas, np.ndarray):
-            # Bit-packed replica state: the compiled kernel addresses a
-            # dense bool matrix; the numpy hook speaks the packed
-            # indexing protocol and is bit-exact by contract.
-            return super()._apply_remaining_batch(
-                ctx, bu, bv, bp1, bp2, br1, br2, btu, btv
-            )
-        kernel = _kernel_table()["remaining_batch"]
-        out_p = np.empty(bu.shape[0], dtype=np.int64)
-        kernel(
-            bu,
-            bv,
-            np.ascontiguousarray(bp1),
-            np.ascontiguousarray(bp2),
-            br1,
-            br2,
-            btu,
-            btv,
-            replicas,
-            out_p,
-        )
-        return out_p

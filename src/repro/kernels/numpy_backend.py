@@ -3,8 +3,8 @@
 Embarrassingly-batchable passes (degrees, pre-partitioning, stateless
 hashing) are fully vectorized.  The stateful passes (Phase-1 clustering
 and the remaining-edge scoring pass) use *conflict-free sub-batching*: the
-edges of a chunk whose mutable state cannot collide with any other edge of
-the chunk are processed as one array operation, everything else falls
+edges of a block whose inputs no earlier edge of the block can have
+changed are processed as one array operation, everything else falls
 through to the per-edge serial kernel in stream order.  The result is
 bit-exact with the ``python`` reference backend — see the package
 docstring for the argument and ``tests/test_kernels.py`` for the
@@ -12,15 +12,23 @@ enforcement.
 
 Why the sub-batching is exact, in short:
 
-- *Scoring pass*: an edge only reads/writes the replica-matrix rows of its
-  two endpoints (volumes and degrees are frozen in this pass).  An edge
-  whose endpoints make their chunk-first appearance on itself therefore
-  reads state no other chunk edge can have written, and writes state no
-  earlier chunk edge can read — so scoring all such edges against the
-  chunk-entry state commutes with the serial order.  Partition sizes only
-  feed the hard-cap fallback; a chunk is batched only when
-  ``capacity - max(sizes)`` exceeds the chunk's candidate count, which
-  makes the fallback provably unreachable either way.
+- *Scoring pass* (2PS-L, Algorithm 2): an edge reads and writes only its
+  four candidate cells ``(u,p1) (u,p2) (v,p1) (v,p2)`` of the replica
+  matrix, plus the partition sizes (degrees and volumes are frozen).
+  Replica bits are monotone — they only go 0 -> 1 — so a cell set at
+  block entry reads set for every edge of the block, and only a cell
+  *unset* at entry can change, written by an edge that names it as a
+  candidate.  An edge none of whose unset cells is an unset cell of an
+  earlier block edge therefore reads exactly its entry bits, and is
+  scored vectorized against them; a later edge that shares one of its
+  unset cells is itself serial and sees its write.  Sizes feed only the
+  hard-cap check.  Counting, per partition, the earlier block edges that
+  name it as a candidate bounds its size at every edge, and the block is
+  cut at the first edge where that bound could reach the cap: before the
+  cut no edge can take the hash/least-loaded fallback (which writes
+  cells outside the candidate set and depends on exact sizes), so the
+  batched edges commute with the serial ones; from the cut on, every
+  edge runs in stream order.
 - *Clustering pass*: migrations also touch the two clusters' volumes, and
   a serially-processed edge can only ever touch clusters reachable from
   the pre-chunk cluster ids of chunk edges (a migration moves a vertex
@@ -69,6 +77,20 @@ HDRF_BLOCK = 256
 #: ``remaining_pass_hdrf`` turns speculation off entirely when it keeps
 #: failing to converge.
 HDRF_SPECULATION_ROUNDS = 6
+
+
+def _group_rank(values: np.ndarray) -> np.ndarray:
+    """Rank of each element among the equal elements before it, in order
+    (``[3, 1, 3, 3, 1] -> [0, 0, 1, 2, 1]``)."""
+    n = values.shape[0]
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    boundary = np.ones(n, dtype=bool)
+    boundary[1:] = ordered[1:] != ordered[:-1]
+    group_starts = np.maximum.accumulate(np.where(boundary, np.arange(n), 0))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n) - group_starts
+    return rank
 
 
 class NumpyBackend(PythonBackend):
@@ -443,18 +465,7 @@ class NumpyBackend(PythonBackend):
         deg = ctx.degrees
         k, cost, seed = ctx.k, ctx.cost, ctx.hash_seed
         n = tp.shape[0]
-        # Rank of each edge within its target-partition group, in order.
-        order = np.argsort(tp, kind="stable")
-        sorted_tp = tp[order]
-        boundary = np.empty(n, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = sorted_tp[1:] != sorted_tp[:-1]
-        group_starts = np.maximum.accumulate(
-            np.where(boundary, np.arange(n), 0)
-        )
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n) - group_starts
-        safe = rank < (capacity - sizes)[tp]
+        safe = _group_rank(tp) < (capacity - sizes)[tp]
         unsafe = np.flatnonzero(~safe)
         # Every edge can be safe even though the caller saw a possible cap
         # hit: a stale parallel view may record an over-cap partition that
@@ -551,113 +562,112 @@ class NumpyBackend(PythonBackend):
     def _remaining_block(
         self, ctx, ru, rv, rp1, rp2, positions, r1, r2, term_u, term_v
     ) -> None:
-        """One sub-batch of the scoring pass.
+        """One sub-batch of the scoring pass (exactness: module docstring).
 
-        Edges whose endpoints make their block-first appearance on the
-        edge itself are scored as one array operation (their replica rows
-        cannot have been written by an earlier block edge, and their
-        writes cannot be read by one); the rest runs serially in stream
-        order.  If the hard cap is reachable within the block, the whole
-        block runs serially — cap overflow makes every decision
-        order-dependent through the hash/least-loaded fallback.
+        Each edge's four candidate cells ``(u,p1) (u,p2) (v,p1) (v,p2)``
+        are gathered once, at block entry.  Before the cap cut, an edge
+        none of whose unset cells is also an unset cell of an earlier
+        block edge is scored vectorized against those entry bits; the
+        other edges, and every edge from the cut on, run in stream order
+        through :meth:`_remaining_serial`.  The chosen cells of the whole
+        block land in one scatter.
         """
-        sizes = ctx.state.sizes
-        nrem = ru.shape[0]
-        if ctx.state.capacity - int(sizes.max()) < nrem:
-            self._remaining_serial(
-                ctx, ru, rv, rp1, rp2, positions, r1, r2, term_u, term_v,
-                np.arange(nrem),
-            )
-            return
-        ids = np.empty(2 * nrem, dtype=np.int64)
-        ids[0::2] = ru
-        ids[1::2] = rv
-        uniq, first_pos = np.unique(ids, return_index=True)
-        first_edge = first_pos // 2
-        eidx = np.arange(nrem)
-        conflict = (first_edge[np.searchsorted(uniq, ru)] < eidx) | (
-            first_edge[np.searchsorted(uniq, rv)] < eidx
-        )
-        batch = ~conflict
-        if batch.any():
-            bu = ru[batch]
-            bv = rv[batch]
-            p = self._apply_remaining_batch(
-                ctx, bu, bv, rp1[batch], rp2[batch],
-                r1[batch], r2[batch], term_u[batch], term_v[batch],
-            )
-            sizes += np.bincount(p, minlength=ctx.k)
-            ctx.assignments[positions[batch]] = p
-        if conflict.any():
-            self._remaining_serial(
-                ctx, ru, rv, rp1, rp2, positions, r1, r2, term_u, term_v,
-                np.flatnonzero(conflict),
-            )
-
-    def _apply_remaining_batch(
-        self, ctx, bu, bv, bp1, bp2, br1, br2, btu, btv
-    ) -> np.ndarray:
-        """Score and apply one conflict-free sub-batch of the linear
-        remaining pass; returns the chosen partitions.
-
-        The batch rows have pairwise-disjoint endpoint pairs (the caller
-        filtered on block-first appearance), so every row reads and
-        writes replica-matrix state no other row touches — the rows are
-        order-independent and a parallel backend may override this hook
-        with a ``prange`` kernel.  Size updates and assignment scatters
-        stay with the caller (order-insensitive reductions, per the
-        package determinism rules).
-        """
-        replicas = ctx.state.replicas
+        state = ctx.state
+        k = ctx.k
+        n = ru.shape[0]
+        rows = np.stack((ru, ru, rv, rv), axis=1)
+        cols = np.stack((rp1, rp2, rp1, rp2), axis=1)
+        bits = state.replicas[rows, cols]
+        cut = self._cap_cut(state.sizes, state.capacity, rp1, rp2)
+        # Bits only go 0 -> 1, so a cell set at entry stays set; an unset
+        # cell can only be written by an edge that has it as a candidate.
+        unset = np.flatnonzero(~bits[:cut].ravel())
+        cells = rows.ravel()[unset] * k + cols.ravel()[unset]
+        conflict = np.zeros(cut, dtype=bool)
+        conflict[unset[_group_rank(cells) > 0] >> 2] = True
+        batch = np.flatnonzero(~conflict)
+        b = bits[batch]
         # Same association order as the reference: ratio, +u, +v.
-        s1 = br1 + replicas[bu, bp1] * btu + replicas[bv, bp1] * btv
-        s2 = br2 + replicas[bu, bp2] * btu + replicas[bv, bp2] * btv
-        p = np.where(s1 >= s2, bp1, bp2)
-        replicas[bu, p] = True
-        replicas[bv, p] = True
-        return p
+        s1 = r1[batch] + b[:, 0] * term_u[batch] + b[:, 2] * term_v[batch]
+        s2 = r2[batch] + b[:, 1] * term_u[batch] + b[:, 3] * term_v[batch]
+        chosen = np.empty(n, dtype=np.int64)
+        chosen[batch] = np.where(s1 >= s2, rp1[batch], rp2[batch])
+        if batch.shape[0] == n:
+            state.sizes += np.bincount(chosen, minlength=k)
+        else:
+            serial = np.concatenate(
+                (np.flatnonzero(conflict), np.arange(cut, n))
+            )
+            self._remaining_serial(
+                ctx, ru, rv, rp1, rp2, r1, r2, term_u, term_v, bits,
+                batch, serial, chosen,
+            )
+        state.replicas[
+            np.concatenate((ru, rv)), np.concatenate((chosen, chosen))
+        ] = True
+        ctx.assignments[positions] = chosen
+
+    @staticmethod
+    def _cap_cut(sizes, capacity, rp1, rp2) -> int:
+        """Index of the first block edge whose candidate partition could
+        be at the cap when the edge is reached (``len`` if none).
+
+        An edge's size bound counts, per partition, the earlier block
+        edges naming that partition as a candidate — at least as many as
+        can have been assigned there — so no edge before the cut can
+        reach the hash/least-loaded fallback, in any processing order.
+        """
+        n = rp1.shape[0]
+        headroom = capacity - sizes
+        if int(headroom.min()) >= n:
+            return n
+        cand = np.stack((rp1, rp2), axis=1).ravel()
+        unsafe = np.flatnonzero(_group_rank(cand) >= headroom[cand])
+        return int(unsafe[0]) >> 1 if unsafe.size else n
 
     def _remaining_serial(
-        self, ctx, ru, rv, rp1, rp2, positions, r1, r2, term_u, term_v,
-        indices,
+        self, ctx, ru, rv, rp1, rp2, r1, r2, term_u, term_v, bits,
+        batch, serial, chosen,
     ) -> None:
-        """Per-edge reference scoring, in stream order, over the
-        precomputed state-independent score components."""
-        replicas = ctx.state.replicas
-        sizes = ctx.state.sizes
-        capacity = ctx.state.capacity
+        """Reference scoring of the ``serial`` edges in stream order.
+
+        A cell's bit is its entry bit or its membership in ``written``,
+        the cells set inside this block (the batched edges' included);
+        sizes live in a list.  Fills ``chosen`` and the state's sizes and
+        leaves the replica writes to the caller's block scatter.
+        """
+        state = ctx.state
+        capacity = state.capacity
         deg = ctx.degrees
         k, cost, seed = ctx.k, ctx.cost, ctx.hash_seed
-        assignments = ctx.assignments
-        lu = ru.tolist()
-        lv = rv.tolist()
-        lp1 = rp1.tolist()
-        lp2 = rp2.tolist()
-        lr1 = r1.tolist()
-        lr2 = r2.tolist()
-        ltu = term_u.tolist()
-        ltv = term_v.tolist()
-        lpos = positions.tolist()
+        bp = chosen[batch]
+        sizes = (state.sizes + np.bincount(bp, minlength=k)).tolist()
+        written = set((ru[batch] * k + bp).tolist())
+        written.update((rv[batch] * k + bp).tolist())
+        sb = bits[serial]
+        edges = zip(
+            ru[serial].tolist(), rv[serial].tolist(),
+            rp1[serial].tolist(), rp2[serial].tolist(),
+            r1[serial].tolist(), r2[serial].tolist(),
+            term_u[serial].tolist(), term_v[serial].tolist(),
+            sb[:, 0].tolist(), sb[:, 1].tolist(),
+            sb[:, 2].tolist(), sb[:, 3].tolist(),
+        )
+        out = []
 
         def least_loaded() -> int:
-            return int(np.argmin(sizes))
+            return sizes.index(min(sizes))
 
-        for i in indices.tolist():
-            u = lu[i]
-            v = lv[i]
-            p1 = lp1[i]
-            p2 = lp2[i]
-            tu = ltu[i]
-            tv = ltv[i]
-            s1 = lr1[i]
-            if replicas[u, p1]:
+        for u, v, p1, p2, s1, s2, tu, tv, u1, u2, v1, v2 in edges:
+            ku = u * k
+            kv = v * k
+            if u1 or ku + p1 in written:
                 s1 += tu
-            if replicas[v, p1]:
+            if v1 or kv + p1 in written:
                 s1 += tv
-            s2 = lr2[i]
-            if replicas[u, p2]:
+            if u2 or ku + p2 in written:
                 s2 += tu
-            if replicas[v, p2]:
+            if v2 or kv + p2 in written:
                 s2 += tv
             p = p1 if s1 >= s2 else p2
             if sizes[p] >= capacity:
@@ -665,9 +675,11 @@ class NumpyBackend(PythonBackend):
                     u, v, deg, sizes, capacity, k, seed, cost, least_loaded
                 )
             sizes[p] += 1
-            replicas[u, p] = True
-            replicas[v, p] = True
-            assignments[lpos[i]] = p
+            written.add(ku + p)
+            written.add(kv + p)
+            out.append(p)
+        chosen[serial] = out
+        state.sizes[:] = sizes
 
     # ------------------------------------------------------------------
     # 2PS-HDRF remaining pass: blocked speculation + scalar engine
@@ -765,7 +777,7 @@ class NumpyBackend(PythonBackend):
         verifies at least one more row, and after
         ``HDRF_SPECULATION_ROUNDS`` the unverified tail goes to the
         serial scalar engine.  Cap reachability demotes the whole block
-        to serial upfront, exactly like the linear pass.
+        to serial upfront.
         """
         b = bu.shape[0]
         if not speculate:

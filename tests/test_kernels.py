@@ -25,8 +25,10 @@ from repro.kernels import (
     get_backend,
     register_backend,
 )
-from repro.kernels.base import Int64Buffer
+from repro.kernels.base import Int64Buffer, TwoPhaseContext
 from repro.kernels.numba_backend import NumbaBackend
+from repro.kernels.numpy_backend import STATEFUL_BLOCK, NumpyBackend
+from repro.metrics.runtime import CostCounter
 from repro.partitioning import LeastLoadedTracker, PartitionArtifacts
 from repro.partitioning.state import PartitionState
 from repro.streaming import DEFAULT_CHUNK_SIZE, InMemoryEdgeStream
@@ -68,6 +70,29 @@ def graphs(draw, max_vertices=60, max_edges=300):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
     edges = rng.integers(0, n, size=(m, 2))
+    return Graph(edges, n)
+
+
+@st.composite
+def long_streams(draw):
+    """Multigraph streams several ``STATEFUL_BLOCK``s long, with a share
+    of edges on three hub vertices, self-loops and repeated edges."""
+    n = draw(st.integers(min_value=8, max_value=400))
+    m = draw(
+        st.integers(
+            min_value=2 * STATEFUL_BLOCK, max_value=6 * STATEFUL_BLOCK
+        )
+    )
+    hub_share = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, n, size=(m, 2))
+    hubs = rng.random(m) < hub_share
+    edges[hubs, 0] = rng.integers(0, 3, size=int(hubs.sum()))
+    loops = rng.random(m) < 0.05
+    edges[loops, 1] = edges[loops, 0]
+    repeats = np.flatnonzero(rng.random(m) < 0.1)
+    edges[repeats] = edges[rng.integers(0, m, size=repeats.shape[0])]
     return Graph(edges, n)
 
 
@@ -231,6 +256,111 @@ class TestBackendEquivalence:
         )
         out = algo(backend=backend).partition(graph, k, chunk_size=chunk_size)
         assert_results_identical(ref, out)
+
+
+class TestRemainingPassCells:
+    """The numpy 2PS-L remaining pass batches at (vertex, partition) cell
+    granularity up to a per-partition cap cut (``numpy_backend`` module
+    docstring); every result stays bit-exact with the reference."""
+
+    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize("k", [3, 8, 9, 32])
+    @settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        graph=long_streams(),
+        alpha=st.sampled_from([1.0, 1.01]),
+        chunk_size=st.sampled_from([700, DEFAULT_CHUNK_SIZE]),
+    )
+    def test_long_streams_bit_exact(self, k, packed, graph, alpha, chunk_size):
+        ref = TwoPhasePartitioner(backend="python").partition(
+            graph, k, alpha=alpha, chunk_size=chunk_size
+        )
+        out = TwoPhasePartitioner(
+            backend="numpy", packed_state=packed
+        ).partition(graph, k, alpha=alpha, chunk_size=chunk_size)
+        assert_results_identical(ref, out)
+
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_cap_cut_lands_mid_block(self, monkeypatch, packed):
+        """alpha=1.0 on a hub-heavy graph: some block is cut strictly
+        inside, so both its batched prefix and its serial tail run."""
+        cuts = []
+        real_cut = NumpyBackend._cap_cut
+
+        def spy(sizes, capacity, rp1, rp2):
+            cut = real_cut(sizes, capacity, rp1, rp2)
+            cuts.append((cut, rp1.shape[0]))
+            return cut
+
+        monkeypatch.setattr(NumpyBackend, "_cap_cut", staticmethod(spy))
+        graph = rmat_graph(10, edge_factor=8, seed=5)
+        ref = TwoPhasePartitioner(backend="python").partition(
+            graph, 9, alpha=1.0
+        )
+        out = TwoPhasePartitioner(
+            backend="numpy", packed_state=packed
+        ).partition(graph, 9, alpha=1.0)
+        assert_results_identical(ref, out)
+        assert any(0 < cut < n for cut, n in cuts)
+
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_star_with_set_hub_cells_never_runs_serial(
+        self, monkeypatch, packed
+    ):
+        """Every edge of a star repeats the hub, but the hub's cells are
+        set before the pass and each leaf's cells occur once: no cell
+        conflicts and the cap is out of reach, so no edge reaches the
+        scalar loop (a vertex-granular filter would send all edges but
+        the first there)."""
+        k = 8
+        m = 3 * STATEFUL_BLOCK
+        n = m + 1
+        edges = np.stack(
+            [np.zeros(m, dtype=np.int64), np.arange(1, n)], axis=1
+        )
+        degrees = np.ones(n, dtype=np.int64)
+        degrees[0] = m
+        # One cluster per vertex: the hub's on partition 0, the leaves'
+        # spread over 1..k-1, so every edge is a remaining edge.
+        c2p = np.concatenate(([0], 1 + np.arange(m) % (k - 1)))
+
+        def run(backend):
+            # alpha=k puts the cap at |E|: no partition can fill.
+            state = PartitionState(n, k, m, alpha=float(k), packed=packed)
+            state.replicas[np.zeros(k, dtype=np.int64), np.arange(k)] = True
+            ctx = TwoPhaseContext(
+                k=k,
+                v2c=np.arange(n, dtype=np.int64),
+                c2p=c2p,
+                volumes=degrees,
+                degrees=degrees,
+                state=state,
+                assignments=np.full(m, -1, dtype=np.int64),
+                hash_seed=0,
+                cost=CostCounter(),
+            )
+            get_backend(backend).remaining_pass_linear(
+                InMemoryEdgeStream(edges, n), ctx
+            )
+            return ctx
+
+        ref = run("python")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("an edge reached _remaining_serial")
+
+        monkeypatch.setattr(NumpyBackend, "_remaining_serial", fail)
+        out = run("numpy")
+        np.testing.assert_array_equal(ref.assignments, out.assignments)
+        np.testing.assert_array_equal(ref.state.sizes, out.state.sizes)
+        np.testing.assert_array_equal(
+            ref.state.replicas, out.state.replicas
+        )
+        assert ref.cost == out.cost
 
 
 class TestChunkSizeIsPerfKnobOnly:

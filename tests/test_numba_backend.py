@@ -293,9 +293,9 @@ class TestNumbaParallel:
     scheduling: per-row state is disjoint within a sub-batch and every
     order-sensitive reduction stays outside the parallel region.  These
     tests pin ``numba-parallel`` against the ``python`` reference (and
-    therefore against serial ``numba``) across the passes that take the
-    prange path: the remaining-edge batch apply and the Phase-1
-    clustering migrations.
+    therefore against serial ``numba``) on the pass that takes the
+    prange path, the Phase-1 clustering migrations, and on the passes
+    it shares with serial ``numba``.
     """
 
     @pytest.mark.parametrize("mode", ["linear", "hdrf"])
@@ -326,8 +326,7 @@ class TestNumbaParallel:
         assert_results_identical(serial, parallel)
 
     def test_cap_pressure_bit_exact(self, numba_parallel_registered):
-        """alpha=1.0 exercises the serialized repair path around the
-        parallel batch apply."""
+        """alpha=1.0 exercises the hash/least-loaded fallback chain."""
         graph = rmat_graph(8, edge_factor=8, seed=7)
         ref = TwoPhasePartitioner(backend="python").partition(
             graph, 5, alpha=1.0, chunk_size=64
