@@ -11,7 +11,8 @@
   2PS-HDRF variant.
 - :mod:`~repro.core.partitioner` — the full pipeline (paper Algorithm 2):
   degree pass, clustering pass(es), cluster mapping, pre-partitioning pass,
-  remaining-edge scoring pass.
+  remaining-edge scoring pass; the one pipeline both the sequential and
+  the sharded partitioner run.
 
 Extensions from the paper's discussion (Section VI):
 
@@ -20,7 +21,9 @@ Extensions from the paper's discussion (Section VI):
 - :mod:`~repro.core.parallel` — CuSP-style sharded partitioning with
   stale-state synchronization, executed by a pluggable runner
   (:mod:`~repro.core.runners`: serial reference, single-process
-  simulation, or true multi-process over shared-memory state views).
+  simulation, true multi-process over shared-memory state views, or
+  socket workers via :mod:`~repro.core.distributed`), all driven by the
+  one sync-window schedule in :mod:`~repro.core.runners`.
 """
 
 from repro.core.clustering import ClusteringResult, StreamingClustering

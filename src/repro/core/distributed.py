@@ -10,20 +10,13 @@ clusters.
 
 Determinism contract
 --------------------
-``DistributedRunner`` is pinned full-state bit-exact with
-``SimulatedRunner`` and ``ProcessRunner`` per schedule (and with the
-sequential pipeline at ``n_workers=1``) by ``tests/differential.py``.
-The pin holds because every protocol round-trip is a value-preserving
-recoding of the shared-memory runners' arithmetic:
+The session below is one transport of the schedule driver in
+:mod:`repro.core.runners`, whose equivalence and single-worker contract
+it inherits (pinned by ``tests/differential.py``): workers run the
+shared window bodies, and the coordinator folds their results with the
+driver's merge ops in ascending worker order.  The wire only recodes
+values, exactly:
 
-- Workers reopen the job's stream from its spec, so window chunk
-  boundaries — which the vectorized kernels are sensitive to — are
-  identical to every other runner's.
-- Phase-1 merges run coordinator-side through the same kernel merge ops
-  (``merge_phase1_degrees`` / ``merge_phase1_clustering`` +
-  ``compact_clustering``), folding worker exports in task order exactly
-  like the process runner.  A single worker keeps one live clustering
-  state worker-side (no reload/merge), mirroring the simulated runner.
 - Phase-2 barriers ship each worker's **dirty replica rows only**
   (:func:`~repro.partitioning.state.extract_replica_delta`); the
   coordinator folds them with
@@ -59,27 +52,25 @@ edge segment, same-host by construction.
 from __future__ import annotations
 
 import socket
-from dataclasses import astuple
 
 import numpy as np
 
 from repro.core import wire
 from repro.core.runners import (
     _LIVE_SEGMENTS,
-    PASS_METHODS,
     RUNNERS,
     Runner,
     RunnerSession,
-    _DirtyMarkingStream,
-    _merge_cost,
     _SubStream,
-    _sweep_schedule,
-    compact_clustering,
+    _WorkerPayload,
+    check_start_method,
+    cluster_window,
     default_start_method,
+    open_worker,
+    phase2_context,
+    phase2_window,
 )
 from repro.errors import ConfigurationError, PartitioningError, WireError
-from repro.kernels import TwoPhaseContext, get_backend
-from repro.metrics.runtime import CostCounter
 from repro.partitioning.state import (
     PartitionState,
     apply_replica_refresh,
@@ -93,6 +84,9 @@ from repro.streaming.stream import (
     spec_from_wire,
     spec_to_wire,
 )
+
+#: Phase-1 arrays the Phase-2 bind frame ships to every worker.
+_PHASE1_ARRAYS = ("v2c", "c2p", "volumes", "degrees")
 
 #: Connections currently owned by open distributed sessions (leak-check
 #: hook: must be empty whenever no session is open).
@@ -137,90 +131,52 @@ def parse_worker_spec(spec: str) -> tuple[str, int]:
 # ---------------------------------------------------------------------
 def _w_job(ctx, payload):
     spec = spec_from_wire(payload["spec"])
-    ctx["stream"] = spec.open()
-    ctx["kernels"] = get_backend(payload["backend"])
-    ctx["k"] = int(payload["k"])
-    ctx["alpha"] = float(payload["alpha"])
-    ctx["n_edges"] = int(payload["n_edges"])
-    ctx["hash_seed"] = int(payload["hash_seed"])
-    ctx["hdrf_lambda"] = float(payload["hdrf_lambda"])
-    ctx["worker_index"] = int(payload["worker_index"])
+    ctx.update(open_worker(_WorkerPayload(**{**payload, "spec": spec})))
     return wire.MSG_OK, None
 
 
 def _w_degree(ctx, payload):
-    window = _SubStream(
-        ctx["stream"], int(payload["start"]), int(payload["stop"])
-    )
+    window = _SubStream(ctx["stream"], int(payload["start"]), int(payload["stop"]))
     degrees = ctx["kernels"].degree_pass(window)
-    return wire.MSG_DEGREE_RESULT, {
-        "degrees": np.asarray(degrees, dtype=np.int64)
-    }
+    return wire.MSG_DEGREE_RESULT, {"degrees": np.asarray(degrees, dtype=np.int64)}
 
 
 def _w_phase1_init(ctx, payload):
-    degrees = np.asarray(payload["degrees"], dtype=np.int64)
-    ctx["p1_degrees"] = degrees
+    ctx["p1_degrees"] = np.asarray(payload["degrees"], dtype=np.int64)
     ctx["p1_cap"] = float(payload["cap"])
-    # A lone worker's view is never stale: keep one live clustering
-    # state across windows (the simulated runner's single-worker path).
-    ctx["cluster_state"] = (
-        ctx["kernels"].clustering_init(degrees)
-        if payload["single"]
-        else None
-    )
     return wire.MSG_OK, None
 
 
 def _w_cluster(ctx, payload):
-    kernels = ctx["kernels"]
-    window = _SubStream(
-        ctx["stream"], int(payload["start"]), int(payload["stop"])
+    v2c, volumes, cost = cluster_window(
+        ctx["kernels"],
+        ctx["stream"],
+        int(payload["start"]),
+        int(payload["stop"]),
+        payload["v2c"],
+        payload["volumes"],
+        ctx["p1_degrees"],
+        ctx["p1_cap"],
     )
-    cost = CostCounter()
-    if ctx["cluster_state"] is not None:
-        kernels.clustering_true_pass(
-            window, ctx["cluster_state"], ctx["p1_cap"], cost
-        )
-        return wire.MSG_CLUSTER_RESULT, {
-            "cost": np.asarray(astuple(cost), dtype=np.int64)
-        }
-    st = kernels.clustering_load(
-        payload["v2c"], payload["volumes"], ctx["p1_degrees"]
-    )
-    kernels.clustering_true_pass(window, st, ctx["p1_cap"], cost)
-    v2c, volumes, _ = kernels.clustering_export(st)
     return wire.MSG_CLUSTER_RESULT, {
         "v2c": np.asarray(v2c, dtype=np.int64),
         "volumes": np.asarray(volumes, dtype=np.int64),
-        "cost": np.asarray(astuple(cost), dtype=np.int64),
-    }
-
-
-def _w_cluster_finish(ctx, payload):
-    v2c, volumes, _ = ctx["kernels"].clustering_export(
-        ctx["cluster_state"]
-    )
-    ctx["cluster_state"] = None
-    return wire.MSG_CLUSTER_RESULT, {
-        "v2c": np.asarray(v2c, dtype=np.int64),
-        "volumes": np.asarray(volumes, dtype=np.int64),
+        "cost": np.asarray(cost, dtype=np.int64),
     }
 
 
 def _w_bind(ctx, payload):
+    params = ctx["payload"]
     ctx["view"] = PartitionState(
         int(payload["n_vertices"]),
-        ctx["k"],
-        ctx["n_edges"],
-        ctx["alpha"],
+        params.k,
+        params.n_edges,
+        params.alpha,
         track_dirty=True,
         packed=bool(payload["packed"]),
     )
-    ctx["phase1"] = {
-        name: np.asarray(payload[name], dtype=np.int64)
-        for name in ("v2c", "c2p", "volumes", "degrees")
-    }
+    arrays = (np.asarray(payload[name], dtype=np.int64) for name in _PHASE1_ARRAYS)
+    ctx["ctx"] = phase2_context(params, *arrays)
     return wire.MSG_OK, None
 
 
@@ -231,30 +187,20 @@ def _w_window(ctx, payload):
     # the two passes write disjoint positions — the coordinator merges
     # returned values where >= 0, so current values need not ship out.
     assignments = np.full(stop - start, -1, dtype=np.int32)
-    cost = CostCounter()
-    phase1 = ctx["phase1"]
-    kernel_ctx = TwoPhaseContext(
-        k=ctx["k"],
-        v2c=phase1["v2c"],
-        c2p=phase1["c2p"],
-        volumes=phase1["volumes"],
-        degrees=phase1["degrees"],
-        state=view,
-        assignments=assignments,
-        hash_seed=ctx["hash_seed"],
-        cost=cost,
-        hdrf_lambda=ctx["hdrf_lambda"],
-    )
-    window = _DirtyMarkingStream(
-        _SubStream(ctx["stream"], start, stop), view
-    )
-    out = getattr(ctx["kernels"], PASS_METHODS[payload["pass"]])(
-        window, kernel_ctx
+    total, cost = phase2_window(
+        ctx["kernels"],
+        ctx["stream"],
+        ctx["ctx"],
+        view,
+        assignments,
+        payload["pass"],
+        start,
+        stop,
     )
     rows, rows_data, sizes = extract_replica_delta(view)
     return wire.MSG_WINDOW_RESULT, {
-        "total": 0 if out is None else int(out),
-        "cost": np.asarray(astuple(cost), dtype=np.int64),
+        "total": total,
+        "cost": np.asarray(cost, dtype=np.int64),
         "assignments": assignments,
         "rows": rows,
         "rows_data": np.asarray(rows_data),
@@ -277,7 +223,6 @@ _MESSAGE_HANDLERS = {
     wire.MSG_DEGREE: _w_degree,
     wire.MSG_PHASE1_INIT: _w_phase1_init,
     wire.MSG_CLUSTER: _w_cluster,
-    wire.MSG_CLUSTER_FINISH: _w_cluster_finish,
     wire.MSG_BIND: _w_bind,
     wire.MSG_WINDOW: _w_window,
     wire.MSG_BARRIER: _w_barrier,
@@ -412,14 +357,7 @@ class DistributedRunner(Runner):
                 "connect_timeout and recv_timeout must be positive, got "
                 f"{connect_timeout} / {recv_timeout}"
             )
-        if start_method is not None:
-            import multiprocessing as mp
-
-            if start_method not in mp.get_all_start_methods():
-                raise ConfigurationError(
-                    f"start_method {start_method!r} not available; "
-                    f"choose from {mp.get_all_start_methods()}"
-                )
+        check_start_method(start_method)
         self.workers = (
             None
             if workers is None
@@ -435,7 +373,7 @@ class DistributedRunner(Runner):
 
 class _DistributedSession(RunnerSession):
     def __init__(self, runner: DistributedRunner, job) -> None:
-        self.job = job
+        super().__init__(job)
         self._recv_timeout = runner.recv_timeout
         self._connect_timeout = runner.connect_timeout
         self._conns: list[wire.Connection] = []
@@ -443,6 +381,7 @@ class _DistributedSession(RunnerSession):
         self._listener = None
         self._stream_shm = None
         self._row_bytes = 0
+        self._deltas: list = []
         self._closed = False
         self.wire_barrier_delta_bytes = 0
         self.wire_barrier_plane_bytes = 0
@@ -482,20 +421,8 @@ class _DistributedSession(RunnerSession):
                 raise PartitioningError(
                     f"distributed handshake failed: {exc}"
                 ) from exc
-        job_fields = {
-            "spec": spec_to_wire(spec),
-            "n_edges": int(job.shard_bounds[-1]),
-            "k": job.k,
-            "alpha": job.alpha,
-            "backend": job.backend,
-            "hash_seed": job.hash_seed,
-            "hdrf_lambda": job.hdrf_lambda,
-        }
-        for w, conn in enumerate(self._conns):
-            self._send(w, wire.MSG_JOB, {**job_fields, "worker_index": w},
-                       "job setup")
-        for w in range(len(self._conns)):
-            self._recv(w, wire.MSG_OK, "job setup")
+        payload = vars(_WorkerPayload.of(job, spec_to_wire(spec)))
+        self._broadcast(wire.MSG_JOB, payload, wire.MSG_OK, "job setup")
 
     def _connect_workers(self, addresses) -> None:
         for w, address in enumerate(addresses):
@@ -580,166 +507,75 @@ class _DistributedSession(RunnerSession):
             for w in range(len(self._conns))
         ]
 
-    # -- Phase 1 -------------------------------------------------------
-    def run_degree_pass(self, n_hint: int | None = None) -> np.ndarray:
-        job = self.job
-        active = []
-        for w in range(job.n_workers):
-            start = int(job.shard_bounds[w])
-            stop = int(job.shard_bounds[w + 1])
-            if start == stop:
-                continue
-            self._send(
-                w, wire.MSG_DEGREE, {"start": start, "stop": stop}, "degree"
-            )
-            active.append(w)
-        partials = [
-            self._recv(w, wire.MSG_DEGREE_RESULT, "degree")["degrees"]
-            for w in active
-        ]
-        return get_backend(job.backend).merge_phase1_degrees(
-            partials, n_hint
-        )
+    # -- transport hooks -----------------------------------------------
+    def _degree_windows(self, shards):
+        for w, start, stop in shards:
+            self._send(w, wire.MSG_DEGREE, {"start": start, "stop": stop}, "degree")
+        for w, _, _ in shards:
+            yield self._recv(w, wire.MSG_DEGREE_RESULT, "degree")["degrees"]
 
-    def run_clustering(self, degrees, cap, n_passes):
-        job = self.job
-        kernels = get_backend(job.backend)
-        degrees = np.asarray(degrees, dtype=np.int64)
-        single = job.n_workers == 1
+    def _phase1_open(self, degrees, cap) -> None:
         self._broadcast(
             wire.MSG_PHASE1_INIT,
-            {"degrees": degrees, "cap": float(cap), "single": single},
+            {"degrees": degrees, "cap": cap},
             wire.MSG_OK,
             "clustering",
         )
-        v2c_g = np.full(degrees.shape[0], -1, dtype=np.int64)
-        vol_g = np.zeros(0, dtype=np.int64)
-        syncs = 0
-        for _ in range(int(n_passes)):
-            position = [
-                int(job.shard_bounds[w]) for w in range(job.n_workers)
-            ]
-            stop = [
-                int(job.shard_bounds[w + 1]) for w in range(job.n_workers)
-            ]
-            while True:
-                tasks = _sweep_schedule(
-                    position, stop, job.sync_interval, "cluster"
-                )
-                if not tasks:
-                    break
-                for w, _, t_start, t_stop in tasks:
-                    fields = {"start": t_start, "stop": t_stop}
-                    if not single:
-                        # The merged clustering the worker loads from —
-                        # the wire twin of the process runner's shared
-                        # scratch slots.
-                        fields["v2c"] = v2c_g
-                        fields["volumes"] = vol_g
-                    self._send(w, wire.MSG_CLUSTER, fields, "clustering")
-                results = [
-                    self._recv(w, wire.MSG_CLUSTER_RESULT, "clustering")
-                    for w, _, _, _ in tasks
-                ]
-                for result in results:
-                    _merge_cost(job.cost, result["cost"])
-                syncs += 1
-                if single:
-                    continue  # the lone worker's live state stays put
-                exports = [
-                    (result["v2c"], result["volumes"])
-                    for result in results
-                ]
-                v2c_g, vol_g = kernels.merge_phase1_clustering(
-                    v2c_g, vol_g, exports, degrees
-                )
-                v2c_g, vol_g = compact_clustering(v2c_g, vol_g)
-        if single:
-            self._send(0, wire.MSG_CLUSTER_FINISH, None, "clustering")
-            result = self._recv(0, wire.MSG_CLUSTER_RESULT, "clustering")
-            v2c_g = result["v2c"]
-            vol_g = result["volumes"]
-        return v2c_g, vol_g, syncs
 
-    # -- Phase 2 -------------------------------------------------------
+    def _cluster_windows(self, sweep, v2c, volumes):
+        for w, start, stop in sweep:
+            # The barrier snapshot the worker loads from — the wire twin
+            # of the process runner's shared scratch slots.
+            fields = {"start": start, "stop": stop, "v2c": v2c, "volumes": volumes}
+            self._send(w, wire.MSG_CLUSTER, fields, "clustering")
+        for w, _, _ in sweep:
+            result = self._recv(w, wire.MSG_CLUSTER_RESULT, "clustering")
+            yield result["v2c"], result["volumes"], result["cost"]
+
     def bind_phase2(self) -> None:
         job = self.job
-        self._row_bytes = (
-            packed_row_bytes(job.k) if job.state.packed else int(job.k)
+        self._row_bytes = packed_row_bytes(job.k) if job.state.packed else int(job.k)
+        fields = {name: getattr(job, name) for name in _PHASE1_ARRAYS}
+        fields.update(
+            n_vertices=int(job.state.n_vertices), packed=bool(job.state.packed)
         )
-        self._broadcast(
-            wire.MSG_BIND,
-            {
-                "n_vertices": int(job.state.n_vertices),
-                "packed": bool(job.state.packed),
-                "v2c": job.v2c,
-                "c2p": job.c2p,
-                "volumes": job.volumes,
-                "degrees": job.degrees,
-            },
-            wire.MSG_OK,
-            "phase-2 bind",
-        )
+        self._broadcast(wire.MSG_BIND, fields, wire.MSG_OK, "phase-2 bind")
 
-    def run_pass(self, pass_name: str) -> tuple[int, int]:
-        if pass_name not in PASS_METHODS:
-            raise ConfigurationError(f"unknown pass {pass_name!r}")
+    def _phase2_windows(self, pass_name, sweep):
+        for w, start, stop in sweep:
+            fields = {"pass": pass_name, "start": start, "stop": stop}
+            self._send(w, wire.MSG_WINDOW, fields, pass_name)
+        self._deltas = []
+        for w, start, stop in sweep:
+            result = self._recv(w, wire.MSG_WINDOW_RESULT, pass_name)
+            returned = result["assignments"]
+            np.copyto(
+                self.job.assignments[start:stop], returned, where=returned >= 0
+            )
+            self._deltas.append((result["rows"], result["rows_data"], result["sizes"]))
+            yield result["total"], result["cost"]
+
+    def _barrier(self, pass_name):
         job = self.job
+        rows, merged, new_sizes = merge_replica_wire_deltas(job.state, self._deltas)
+        self._broadcast(
+            wire.MSG_BARRIER,
+            {"rows": rows, "rows_data": merged, "sizes": new_sizes},
+            wire.MSG_BARRIER_ACK,
+            f"{pass_name} barrier",
+        )
+        # Three views of barrier traffic: the full refresh payload (row
+        # indices + row planes + sizes), the replica-plane component
+        # alone, and what a full-state re-broadcast would have shipped
+        # (every plane row + sizes, no indices needed).
         n = int(job.state.n_vertices)
-        position = [int(job.shard_bounds[w]) for w in range(job.n_workers)]
-        stop = [int(job.shard_bounds[w + 1]) for w in range(job.n_workers)]
-        total = 0
-        syncs = 0
-        while True:
-            tasks = _sweep_schedule(
-                position, stop, job.sync_interval, pass_name
-            )
-            if not tasks:
-                break
-            for w, _, t_start, t_stop in tasks:
-                self._send(
-                    w,
-                    wire.MSG_WINDOW,
-                    {"pass": pass_name, "start": t_start, "stop": t_stop},
-                    pass_name,
-                )
-            deltas = []
-            for w, _, t_start, t_stop in tasks:
-                result = self._recv(w, wire.MSG_WINDOW_RESULT, pass_name)
-                returned = result["assignments"]
-                np.copyto(
-                    job.assignments[t_start:t_stop],
-                    returned,
-                    where=returned >= 0,
-                )
-                total += int(result["total"])
-                _merge_cost(job.cost, result["cost"])
-                deltas.append(
-                    (result["rows"], result["rows_data"], result["sizes"])
-                )
-            rows, merged, new_sizes = merge_replica_wire_deltas(
-                job.state, deltas
-            )
-            self._broadcast(
-                wire.MSG_BARRIER,
-                {"rows": rows, "rows_data": merged, "sizes": new_sizes},
-                wire.MSG_BARRIER_ACK,
-                f"{pass_name} barrier",
-            )
-            syncs += 1
-            self.barrier_rows += int(rows.size)
-            self.barrier_full_rows += n
-            # Three views of barrier traffic: the full refresh payload
-            # (row indices + row planes + sizes), the replica-plane
-            # component alone, and what a full-state re-broadcast would
-            # have shipped (every plane row + sizes, no indices needed).
-            per_worker = rows.nbytes + merged.nbytes + new_sizes.nbytes
-            self.wire_barrier_delta_bytes += per_worker * job.n_workers
-            self.wire_barrier_plane_bytes += merged.nbytes * job.n_workers
-            self.wire_barrier_full_bytes += (
-                n * self._row_bytes + new_sizes.nbytes
-            ) * job.n_workers
-        return total, syncs
+        per_worker = rows.nbytes + merged.nbytes + new_sizes.nbytes
+        self.wire_barrier_delta_bytes += per_worker * job.n_workers
+        self.wire_barrier_plane_bytes += merged.nbytes * job.n_workers
+        self.wire_barrier_full_bytes += (
+            n * self._row_bytes + new_sizes.nbytes
+        ) * job.n_workers
+        return int(rows.size)
 
     # -- bookkeeping ---------------------------------------------------
     def wire_stats(self) -> dict:

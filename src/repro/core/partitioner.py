@@ -32,13 +32,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.clustering import (
-    StreamingClustering,
-    default_volume_cap,
-)
+from repro.core.clustering import ClusteringResult, default_volume_cap
+from repro.core.runners import SerialRunner, ShardedJob
 from repro.core.scheduling import graham_schedule
 from repro.errors import ConfigurationError
-from repro.kernels import TwoPhaseContext, get_backend
+from repro.kernels import get_backend
 from repro.metrics.memory import measured_state_bytes
 from repro.metrics.runtime import CostCounter, PhaseTimer
 from repro.partitioning.base import (
@@ -49,49 +47,145 @@ from repro.partitioning.base import (
 from repro.partitioning.state import PartitionState
 
 
-def run_phase1(
+def check_two_phase_options(mode, volume_cap_factor, chunk_size, tune, backend):
+    """Constructor validation shared by both 2PS-L partitioners."""
+    if mode not in ("linear", "hdrf"):
+        raise ConfigurationError(f"mode must be 'linear' or 'hdrf', got {mode!r}")
+    if volume_cap_factor <= 0:
+        raise ConfigurationError(
+            f"volume_cap_factor must be positive, got {volume_cap_factor}"
+        )
+    if (
+        chunk_size is not None
+        and chunk_size != "auto"
+        and (isinstance(chunk_size, str) or chunk_size <= 0)
+    ):
+        raise ConfigurationError(
+            f"chunk_size must be positive or 'auto', got {chunk_size!r}"
+        )
+    if tune not in (None, "auto"):
+        raise ConfigurationError(f"tune must be None or 'auto', got {tune!r}")
+    get_backend(backend)  # validate the name eagerly
+
+
+def run_two_phase(
+    part,
     stream,
     k: int,
-    *,
-    backend: str | None,
-    clustering_passes: int,
-    volume_cap_factor: float,
-    timer: PhaseTimer,
-    cost: CostCounter,
+    alpha: float,
+    runner=None,
+    n_workers: int = 1,
+    sync_interval: int = 1,
+    parallel_phase1: bool = False,
 ):
-    """Degree pass + Phase-1 clustering + cluster mapping.
+    """The 2PS-L pipeline through one runner session.
 
-    Shared by the sequential :class:`TwoPhasePartitioner` and the sharded
-    :class:`~repro.core.parallel.ParallelTwoPhase`, so the two pipelines
-    are bit-identical (outputs *and* cost counters) up to the Phase-2
-    streaming passes.  Returns ``(n, degrees, clustering, c2p, loads)``.
+    ``part`` supplies the algorithm knobs (``backend``,
+    ``clustering_passes``, ``volume_cap_factor``, ``mode``,
+    ``hdrf_lambda``, ``hash_seed``, ``packed_state``, ``name``).  The
+    session of ``runner`` (default :class:`~repro.core.runners.
+    SerialRunner`, which ignores ``n_workers``/``sync_interval``) runs
+    Phase 2, and Phase 1 too when ``parallel_phase1``; otherwise Phase 1
+    is the serial session's pass over the stream itself.
+
+    Returns ``(result, stats)``: ``result.extras`` holds the sequential
+    partitioner's diagnostics, ``result.artifacts`` the Phase-1 state, and
+    ``stats`` the schedule's ``syncs``, ``phase1_syncs``, barrier bytes
+    and (distributed sessions) ``wire`` traffic.
     """
-    kernels = get_backend(backend)
+    kernels = get_backend(part.backend)
+    timer = PhaseTimer()
+    cost = CostCounter()
     m = stream.n_edges
-
-    # Pass 1: true vertex degrees (Figure 5: "Degree").
-    with timer.phase("degree"):
-        degrees = kernels.degree_pass(stream, stream.n_vertices)
-        cost.edges_streamed += m
-    n = max(EdgePartitioner._resolve_n_vertices(stream, degrees), len(degrees))
-    if len(degrees) < n:
-        grown = np.zeros(n, dtype=np.int64)
-        grown[: len(degrees)] = degrees
-        degrees = grown
-
-    # Phase 1: streaming clustering (Figure 5: "Clustering").
-    with timer.phase("clustering"):
-        cap = default_volume_cap(m, k, volume_cap_factor)
-        clustering = StreamingClustering(
-            n_passes=clustering_passes,
-            volume_cap=cap,
-            backend=backend,
-        ).run(stream, degrees=degrees, cost=cost)
-
-    # Phase 2 Step 1: map clusters to partitions (no streaming).
-    with timer.phase("mapping"):
-        c2p, loads = graham_schedule(clustering.volumes, k, cost=cost)
-    return n, degrees, clustering, c2p, loads
+    job = ShardedJob(
+        stream=stream,
+        n_workers=n_workers,
+        sync_interval=sync_interval,
+        shard_bounds=np.linspace(0, m, n_workers + 1).astype(np.int64),
+        # The *resolved* backend name: an optional backend's fallback is
+        # decided once here, never again in a runner worker.
+        backend=kernels.name,
+        k=k,
+        alpha=alpha,
+        hash_seed=part.hash_seed,
+        hdrf_lambda=part.hdrf_lambda,
+        cost=cost,
+    )
+    session = (runner or SerialRunner()).open(job)
+    try:
+        phase1 = session if parallel_phase1 else SerialRunner().open(job)
+        # Pass 1: true vertex degrees (Figure 5: "Degree").
+        with timer.phase("degree"):
+            degrees = phase1.run_degree_pass(stream.n_vertices)
+            cost.edges_streamed += m
+        n = max(EdgePartitioner._resolve_n_vertices(stream, degrees), len(degrees))
+        if len(degrees) < n:
+            degrees = np.concatenate(
+                [degrees, np.zeros(n - len(degrees), dtype=np.int64)]
+            )
+        # Phase 1: streaming clustering (Figure 5: "Clustering").
+        with timer.phase("clustering"):
+            cap = default_volume_cap(m, k, part.volume_cap_factor)
+            v2c, volumes, phase1_syncs = phase1.run_clustering(
+                degrees, cap, part.clustering_passes
+            )
+        clustering = ClusteringResult(
+            v2c, volumes, degrees, cap, part.clustering_passes
+        )
+        # Phase 2 Step 1: map clusters to partitions (no streaming).
+        with timer.phase("mapping"):
+            c2p, loads = graham_schedule(volumes, k, cost=cost)
+        job.v2c, job.c2p, job.volumes, job.degrees = v2c, c2p, volumes, degrees
+        job.state = PartitionState(n, k, m, alpha, packed=part.packed_state)
+        job.assignments = np.full(m, -1, dtype=np.int32)
+        session.bind_phase2()
+        # Phase 2 Steps 2-3: pre-partitioning, then score remaining edges.
+        with timer.phase("prepartition"):
+            n_pre, syncs_pre = session.run_pass("prepartition")
+        with timer.phase("partitioning"):
+            _, syncs_rem = session.run_pass(f"remaining_{part.mode}")
+        worker_bytes = session.extra_state_bytes()
+        wire_stats = session.wire_stats()
+        stats = {
+            "syncs": syncs_pre + syncs_rem,
+            "phase1_syncs": phase1_syncs,
+            # Replica rows the Phase-2 delta barriers actually merged
+            # versus what full re-broadcast would have touched (bytes =
+            # rows * k replica-matrix cells).
+            "barrier_bytes": session.barrier_rows * k,
+            "barrier_bytes_full": session.barrier_full_rows * k,
+            # Distributed sessions also report actual socket traffic
+            # (frame bytes both ways, barrier delta vs what a full state
+            # re-broadcast would have shipped).
+            **({"wire": wire_stats} if wire_stats else {}),
+        }
+        session.finalize()
+    finally:
+        session.close()
+    result = PartitionResult(
+        partitioner=part.name,
+        k=k,
+        alpha=alpha,
+        n_vertices=n,
+        n_edges=m,
+        assignments=job.assignments,
+        state=job.state,
+        timer=timer,
+        cost=cost,
+        state_bytes=measured_state_bytes(job.state, v2c, volumes, degrees, c2p, loads)
+        + worker_bytes,
+        extras={
+            "n_clusters": clustering.n_nonempty_clusters,
+            "clustering_passes": clustering.passes,
+            "volume_cap": clustering.volume_cap,
+            "prepartitioned_edges": n_pre,
+            "remaining_edges": m - n_pre,
+            "mode": part.mode,
+            "backend": kernels.name,
+        },
+        artifacts=PartitionArtifacts(clustering=clustering, c2p=c2p),
+    )
+    return result, stats
 
 
 class TwoPhasePartitioner(EdgePartitioner):
@@ -153,27 +247,7 @@ class TwoPhasePartitioner(EdgePartitioner):
         packed_state: bool = False,
         tune: str | None = None,
     ) -> None:
-        if mode not in ("linear", "hdrf"):
-            raise ConfigurationError(
-                f"mode must be 'linear' or 'hdrf', got {mode!r}"
-            )
-        if volume_cap_factor <= 0:
-            raise ConfigurationError(
-                f"volume_cap_factor must be positive, got {volume_cap_factor}"
-            )
-        if (
-            chunk_size is not None
-            and chunk_size != "auto"
-            and (isinstance(chunk_size, str) or chunk_size <= 0)
-        ):
-            raise ConfigurationError(
-                f"chunk_size must be positive or 'auto', got {chunk_size!r}"
-            )
-        if tune not in (None, "auto"):
-            raise ConfigurationError(
-                f"tune must be None or 'auto', got {tune!r}"
-            )
-        get_backend(backend)  # validate the name eagerly
+        check_two_phase_options(mode, volume_cap_factor, chunk_size, tune, backend)
         self.clustering_passes = int(clustering_passes)
         self.volume_cap_factor = float(volume_cap_factor)
         self.mode = mode
@@ -188,74 +262,7 @@ class TwoPhasePartitioner(EdgePartitioner):
 
     # ------------------------------------------------------------------
     def _run(self, stream, k: int, alpha: float) -> PartitionResult:
-        kernels = get_backend(self.backend)
-        timer = PhaseTimer()
-        cost = CostCounter()
-        m = stream.n_edges
-
-        n, degrees, clustering, c2p, loads = run_phase1(
-            stream,
-            k,
-            backend=self.backend,
-            clustering_passes=self.clustering_passes,
-            volume_cap_factor=self.volume_cap_factor,
-            timer=timer,
-            cost=cost,
-        )
-
-        state = PartitionState(n, k, m, alpha, packed=self.packed_state)
-        assignments = np.full(m, -1, dtype=np.int32)
-        ctx = TwoPhaseContext(
-            k=k,
-            v2c=clustering.v2c,
-            c2p=c2p,
-            volumes=clustering.volumes,
-            degrees=degrees,
-            state=state,
-            assignments=assignments,
-            hash_seed=self.hash_seed,
-            cost=cost,
-            hdrf_lambda=self.hdrf_lambda,
-        )
-
-        # Phase 2 Step 2: pre-partitioning pass.
-        with timer.phase("prepartition"):
-            n_pre = kernels.prepartition_pass(stream, ctx)
-
-        # Phase 2 Step 3: score remaining edges.
-        with timer.phase("partitioning"):
-            if self.mode == "linear":
-                kernels.remaining_pass_linear(stream, ctx)
-            else:
-                kernels.remaining_pass_hdrf(stream, ctx)
-
-        state_bytes = measured_state_bytes(
-            state, clustering.v2c, clustering.volumes, clustering.degrees, c2p, loads
-        )
-        artifacts = (
-            PartitionArtifacts(clustering=clustering, c2p=c2p)
-            if self.keep_state
-            else None
-        )
-        return PartitionResult(
-            partitioner=self.name,
-            k=k,
-            alpha=alpha,
-            n_vertices=n,
-            n_edges=m,
-            assignments=assignments,
-            state=state,
-            timer=timer,
-            cost=cost,
-            state_bytes=state_bytes,
-            extras={
-                "n_clusters": clustering.n_nonempty_clusters,
-                "clustering_passes": clustering.passes,
-                "volume_cap": clustering.volume_cap,
-                "prepartitioned_edges": n_pre,
-                "remaining_edges": m - n_pre,
-                "mode": self.mode,
-                "backend": kernels.name,
-            },
-            artifacts=artifacts,
-        )
+        result, _ = run_two_phase(self, stream, k, alpha)
+        if not self.keep_state:
+            result.artifacts = None
+        return result

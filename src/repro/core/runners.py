@@ -1,20 +1,19 @@
 """Execution runners: who runs the sync windows of a sharded run.
 
-:class:`~repro.core.parallel.ParallelTwoPhase` owns the *semantics* of
-CuSP-style sharded partitioning — contiguous stream shards, per-worker
-stale state views, barrier synchronization every ``sync_interval`` edges —
-and delegates the *execution* of the resulting sync-window schedule to a
+The 2PS-L pipeline (:func:`repro.core.partitioner.run_two_phase`) owns the
+*semantics* of CuSP-style sharded partitioning — contiguous stream shards,
+per-worker stale state views, barrier synchronization every
+``sync_interval`` edges — and hands the passes to a session opened by a
 runner from this module:
 
 - :class:`SerialRunner` — no sharding at all: each pass runs once over the
-  full stream against the global state, exactly like the sequential
-  :class:`~repro.core.partitioner.TwoPhasePartitioner`.  The degenerate
-  reference point (zero syncs, zero staleness).
+  full stream against the global state.  The sequential
+  :class:`~repro.core.partitioner.TwoPhasePartitioner` *is* this runner,
+  and ``ParallelTwoPhase`` uses it for the shared (non-sharded) Phase 1.
 - :class:`SimulatedRunner` — the single-process round-robin simulation:
   worker windows execute interleaved in one process, each against its own
-  stale heap-allocated state, with an explicit merge barrier after every
-  sweep.  Deterministic and dependency-free; parallel wall-clock is
-  *modeled*, not measured.
+  stale heap-allocated state.  Deterministic and dependency-free;
+  parallel wall-clock is *modeled*, not measured.
 - :class:`ProcessRunner` — true ``multiprocessing`` execution: one pool
   process per shard worker, worker state in shared-memory segments, and
   the stream reopened in every worker from a picklable
@@ -23,47 +22,57 @@ runner from this module:
   memory).  Parallel wall-clock is *measured*.
 - :class:`~repro.core.distributed.DistributedRunner` — worker processes
   over TCP sockets (loopback by default, ``host:port`` specs for real
-  clusters), speaking the same schedule as an explicit versioned wire
-  format (:mod:`repro.core.wire`): length-prefixed CRC-checked frames
-  carrying window assignments, dirty replica-row deltas (packed planes
-  as raw byte-OR blocks), Phase-1 merge inputs, and barrier acks.
-  Workers reopen their own stream shards from the job's spec, so edge
-  data never crosses the wire.  Registered lazily (importing
-  :mod:`repro.core` or calling :func:`make_runner` resolves it).
+  clusters) speaking the versioned wire format of
+  :mod:`repro.core.wire`.  Workers reopen their own stream shards from
+  the job's spec, so edge data never crosses the wire.  Registered lazily
+  (importing :mod:`repro.core` or calling :func:`make_runner` resolves
+  it).
 
-A session covers **both phases** of a run.  Phase 1 executes through
-:meth:`RunnerSession.run_degree_pass` (per-shard partial degree vectors,
-merged by the associative-and-commutative integer sum) and
-:meth:`RunnerSession.run_clustering` (per-worker sync windows over a stale
-clustering snapshot, folded at each barrier by the ordered
-``merge_phase1_clustering`` kernel op — see :mod:`repro.kernels` for the
-merge contract).  Phase 2 then binds its state with
-:meth:`RunnerSession.bind_phase2` and executes through
-:meth:`RunnerSession.run_pass` exactly as before.
+One schedule, one driver
+------------------------
+:class:`RunnerSession` is the schedule driver; it is the only code that
+iterates windows.  Worker ``w`` streams shard ``[bounds[w], bounds[w+1])``
+in windows of at most ``sync_interval`` edges (:func:`sweep_windows`); a
+*sweep* is every unfinished worker's next window, in ascending worker
+order, and a barrier follows every sweep.  The driver runs:
+
+- the degree fan-out — one window per non-empty shard, partials folded
+  by ``merge_phase1_degrees``;
+- the clustering sweeps — each worker loads the barrier snapshot, runs
+  its window and exports (:func:`cluster_window`); the barrier folds the
+  exports with ``merge_phase1_clustering`` and :func:`compact_clustering`;
+- the Phase-2 sweeps — each window runs a pass against its worker's view
+  (:func:`phase2_window`); the barrier merges the views' dirty rows.
+
+The simulated, process and distributed sessions are *transports*: each
+only runs one sweep's windows — returning their results in ascending
+worker order — and applies one Phase-2 barrier (heap views plus
+:func:`merge_barrier`, shared views plus :func:`merge_barrier`, wire
+deltas plus :func:`~repro.partitioning.state.merge_replica_wire_deltas`).
+The window bodies above are shared by all three, worker side included.
 
 Equivalence contract
 --------------------
-All four runners execute the same deterministic schedule: worker ``w``
-processes shard ``[bounds[w], bounds[w+1])`` in windows of at most
-``sync_interval`` edges, and after every sweep a barrier merges worker
-deltas into the global state and refreshes every stale view.  Because the
-kernel contract makes chunk and window boundaries semantics-free (see
-:mod:`repro.kernels`), this pins down every output bit:
+Because every runner executes that one schedule and the kernel contract
+makes chunk and window boundaries semantics-free (see
+:mod:`repro.kernels`), the runner is a pure execution knob:
 
-- :class:`ProcessRunner` and ``DistributedRunner`` are **bit-identical**
-  to :class:`SimulatedRunner` under the same schedule — Phase-1 degrees
-  and clustering, per-edge assignments, replica matrix, partition sizes
-  *and* cost counters (cost fields are sums of per-window counts, so
-  merge order cannot matter).  For the distributed tier the wire is a
-  value-preserving recoding: barriers ship each worker's dirty rows
-  only, which is exact because a row clean in worker ``w`` equals the
-  pre-merge global row (see :mod:`repro.core.distributed` for the full
-  argument).  ``SimulatedRunner`` thereby doubles as the in-CI
-  deterministic twin of a multi-host run.
-- With ``n_workers=1`` all of them are bit-exact with the sequential
-  pipeline (a single worker's view is never stale), and
-  :class:`SerialRunner` is bit-exact with it for *any* worker count
-  because it ignores sharding entirely.
+- ``ProcessRunner`` and ``DistributedRunner`` are **bit-identical** to
+  ``SimulatedRunner`` under the same schedule — Phase-1 degrees and
+  clustering, per-edge assignments, replica matrix, partition sizes
+  *and* cost counters (each window counts into a fresh counter that the
+  driver sums, and sums commute).  The wire is a value-preserving
+  recoding: barriers ship each worker's dirty rows only, which is exact
+  because a row clean in worker ``w`` equals the pre-merge global row.
+  ``SimulatedRunner`` thereby doubles as the in-CI deterministic twin of
+  a multi-host run.
+- **Single worker.**  With ``n_workers=1`` every runner is bit-exact with
+  the sequential pipeline, because a lone worker's view is never stale:
+  in Phase 1 the driver makes the lone worker's export the next window's
+  snapshot, unmerged (exact because ``load(export(st))`` round-trips), and
+  in Phase 2 the view is refreshed from the worker's own writes.
+  :class:`SerialRunner` is bit-exact with the sequential pipeline for
+  *any* worker count because it ignores sharding entirely.
 
 ``tests/test_parallel_kernels.py`` and the randomized differential
 harness (``tests/differential.py``) enforce all of this.
@@ -74,7 +83,7 @@ Phase-2 barriers use **dirty-row delta bitmaps**
 (:func:`repro.partitioning.state.merge_replica_deltas`): each worker view
 marks the endpoint rows of the windows it streams, and the barrier ORs
 and re-broadcasts only the union of dirty rows instead of the full
-``|V| x k`` replica matrix.  Sessions account the merged versus the
+``|V| x k`` replica matrix.  The driver accounts the merged versus the
 hypothetical full row counts (``barrier_rows`` / ``barrier_full_rows``)
 so the saving is measurable end to end (``BENCH_parallel.json``).
 
@@ -95,10 +104,11 @@ owned set).  Workers only ever *attach* and never unlink.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
+from repro.core.clustering import StreamingClustering
 from repro.errors import ConfigurationError, PartitioningError
 from repro.kernels import TwoPhaseContext, get_backend
 from repro.metrics.runtime import CostCounter
@@ -119,22 +129,17 @@ PASS_METHODS = {
 
 _COST_FIELDS = tuple(f.name for f in fields(CostCounter))
 
+#: Driver steps whose worker failures surface as the typed Phase-1 error.
+_PHASE1_STEPS = ("degree", "clustering")
 
-def _merge_cost(cost: CostCounter, delta: tuple) -> None:
+
+def _merge_cost(cost: CostCounter, delta) -> None:
     """Accumulate a worker's per-window cost tuple into ``cost``."""
     for name, value in zip(_COST_FIELDS, delta):
         setattr(cost, name, getattr(cost, name) + int(value))
 
 
-def _phase1_error(worker: int, step: str, exc: BaseException) -> PartitioningError:
-    """The one typed error every runner raises for a Phase-1 worker death."""
-    return PartitioningError(
-        f"phase-1 worker {worker} died during the {step} pass: "
-        f"{type(exc).__name__}: {exc}"
-    )
-
-
-def cluster_id_capacity(n_edges: int, n_vertices: int, n_workers: int) -> int:
+def cluster_id_capacity(n_edges: int, n_vertices: int) -> int:
     """Upper bound on live cluster ids any Phase-1 export can carry.
 
     Every barrier compacts the merged clustering
@@ -147,12 +152,9 @@ def cluster_id_capacity(n_edges: int, n_vertices: int, n_workers: int) -> int:
     snapshot-unassigned vertex — hence exports stay within ``|V|``.
     Assigned vertices are also endpoint first-encounters of processed
     edges, disjoint across shards, giving the ``2 * |E|`` bound.  The
-    no-merge single-worker path opens at most one cluster per vertex,
-    satisfying the same bound.  ``n_workers`` no longer enters the bound
-    (pre-compaction it contributed an ``n_workers * |V|`` term); the
-    parameter is kept so call sites document which run they size for.
+    unmerged single-worker path opens at most one cluster per vertex,
+    satisfying the same bound.
     """
-    del n_workers  # bound is worker-count-free since barrier compaction
     return min(2 * int(n_edges), int(n_vertices)) + 1
 
 
@@ -186,13 +188,13 @@ def compact_clustering(
 
 @dataclass
 class ShardedJob:
-    """Everything one parallel run shares across its passes.
+    """Everything one run shares across its passes.
 
-    Built by ``ParallelTwoPhase._run`` before Phase 1 and handed to
-    ``Runner.open``; the Phase-1 product fields (``v2c`` .. ``degrees``)
-    and the Phase-2 outputs (``state``, ``assignments``) are filled in
-    before :meth:`RunnerSession.bind_phase2`.  ``cost`` accumulates over
-    the whole run.
+    Built by :func:`~repro.core.partitioner.run_two_phase` before Phase 1
+    and handed to ``Runner.open``; the Phase-1 product fields (``v2c`` ..
+    ``degrees``) and the Phase-2 outputs (``state``, ``assignments``) are
+    filled in before :meth:`RunnerSession.bind_phase2`.  ``cost``
+    accumulates over the whole run.
 
     ``backend`` carries the *resolved* kernel-backend name: the parent
     resolves optional-backend fallback (e.g. ``numba`` without its
@@ -220,21 +222,6 @@ class ShardedJob:
     assignments: np.ndarray | None = None
 
 
-def _make_ctx(job: ShardedJob, state, assignments, cost=None) -> TwoPhaseContext:
-    return TwoPhaseContext(
-        k=job.k,
-        v2c=job.v2c,
-        c2p=job.c2p,
-        volumes=job.volumes,
-        degrees=job.degrees,
-        state=state,
-        assignments=assignments,
-        hash_seed=job.hash_seed,
-        cost=job.cost if cost is None else cost,
-        hdrf_lambda=job.hdrf_lambda,
-    )
-
-
 def merge_barrier(state: PartitionState, worker_states) -> int:
     """One Phase-2 synchronization barrier; returns the rows refreshed.
 
@@ -247,8 +234,6 @@ def merge_barrier(state: PartitionState, worker_states) -> int:
     falls back to the full re-broadcast.  Shared by the simulated and the
     process runner so their barrier arithmetic cannot diverge.
     """
-    if len(worker_states) == 1 and worker_states[0] is state:
-        return 0  # the worker shares the global state: nothing to do
     if all(ws.dirty is not None for ws in worker_states):
         return merge_replica_deltas(state, worker_states)
     # Raw-storage OR: a logical OR on dense bool rows, a byte OR on
@@ -257,9 +242,7 @@ def merge_barrier(state: PartitionState, worker_states) -> int:
         [_replica_storage(state.replicas)]
         + [_replica_storage(ws.replicas) for ws in worker_states]
     )
-    new_sizes = state.sizes + sum(
-        ws.sizes - state.sizes for ws in worker_states
-    )
+    new_sizes = state.sizes + sum(ws.sizes - state.sizes for ws in worker_states)
     _replica_storage(state.replicas)[:] = merged
     state.sizes[:] = new_sizes
     for ws in worker_states:
@@ -268,430 +251,61 @@ def merge_barrier(state: PartitionState, worker_states) -> int:
     return int(state.n_vertices)
 
 
-def _sweep_schedule(position, stop, sync_interval, pass_name):
-    """Advance every active shard cursor one window; return the tasks."""
-    tasks = []
-    for w in range(len(position)):
-        if position[w] >= stop[w]:
-            continue
-        take = min(sync_interval, stop[w] - position[w])
-        tasks.append((w, pass_name, position[w], position[w] + take))
-        position[w] += take
-    return tasks
+def sweep_windows(bounds, sync_interval: int):
+    """The sync-window schedule, one sweep at a time.
+
+    Yields, per sweep, the list of ``(worker, start, stop)`` windows:
+    every worker whose shard ``[bounds[w], bounds[w+1])`` is not yet
+    exhausted advances by at most ``sync_interval`` edges, in ascending
+    worker order.  Empty shards never yield a window, and the windows of
+    all sweeps tile ``[bounds[0], bounds[-1])`` exactly once.
+    """
+    position = [int(b) for b in bounds[:-1]]
+    stop = [int(b) for b in bounds[1:]]
+    while True:
+        sweep = []
+        for w, end in enumerate(stop):
+            start = position[w]
+            if start < end:
+                position[w] = min(start + sync_interval, end)
+                sweep.append((w, start, position[w]))
+        if not sweep:
+            return
+        yield sweep
 
 
-# ----------------------------------------------------------------------
-# runner protocol
-# ----------------------------------------------------------------------
-class RunnerSession(ABC):
-    """One parallel run's execution state (pools, views, segments)."""
+def _gather(step: str, sweep, results) -> list:
+    """Drain a transport's window results (ascending worker order).
 
-    #: Rows merged by Phase-2 delta barriers / rows a full re-broadcast
-    #: would have merged (equal when the full path ran).
-    barrier_rows: int = 0
-    barrier_full_rows: int = 0
-
-    def run_degree_pass(self, n_hint: int | None = None) -> np.ndarray:
-        """Parallel degree pass: per-shard partials, merged by summation."""
+    A Phase-1 window's failure becomes the one typed error every runner
+    raises for it, naming the worker; Phase-2 failures propagate as-is.
+    """
+    out = []
+    try:
+        for result in results:
+            out.append(result)
+    except PartitioningError:
+        raise
+    except Exception as exc:
+        if step not in _PHASE1_STEPS:
+            raise
+        worker = sweep[len(out)][0]
         raise PartitioningError(
-            f"{type(self).__name__} does not execute Phase 1"
-        )
-
-    def run_clustering(
-        self, degrees: np.ndarray, cap: float, n_passes: int
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Sharded Phase-1 clustering; returns ``(v2c, volumes, syncs)``."""
-        raise PartitioningError(
-            f"{type(self).__name__} does not execute Phase 1"
-        )
-
-    def bind_phase2(self) -> None:
-        """Allocate Phase-2 execution state once the job carries the
-        Phase-1 arrays, the global state and the assignment array."""
-
-    @abstractmethod
-    def run_pass(self, pass_name: str) -> tuple[int, int]:
-        """Execute one sharded Phase-2 pass; returns ``(total, syncs)``."""
-
-    def finalize(self) -> None:
-        """Copy shared results back into the job arrays (success path)."""
-
-    def close(self) -> None:
-        """Release every resource; idempotent, safe on error paths."""
-
-    def extra_state_bytes(self) -> int:
-        """Bytes held by per-worker state views beyond the global state."""
-        return 0
-
-    def wire_stats(self) -> dict | None:
-        """Wire-traffic accounting (distributed sessions only)."""
-        return None
-
-
-class Runner(ABC):
-    """Scheduling strategy for the passes of ``ParallelTwoPhase``."""
-
-    #: Registry name; subclasses override.
-    kind: str = "abstract"
-
-    #: True when wall-clock measured around ``run_pass`` is real parallel
-    #: time (processes actually ran concurrently), False when it is
-    #: single-process compute that a model must convert.
-    measures_wallclock: bool = False
-
-    @abstractmethod
-    def open(self, job: ShardedJob) -> RunnerSession:
-        """Start a session for one run (allocate views, pools, segments)."""
-
-    def parallel_wall_seconds(
-        self, phase2_seconds: float, n_workers: int, syncs: int,
-        sync_latency: float,
-    ) -> float:
-        """Parallel Phase-2 wall-clock estimate for the result extras."""
-        return phase2_seconds  # measured runners: the timer already is it
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} kind={self.kind!r}>"
+            f"phase-1 worker {worker} died during the {step} pass: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+    return out
 
 
 # ----------------------------------------------------------------------
-# serial
+# window bodies (run in-process and by pool and socket workers alike)
 # ----------------------------------------------------------------------
-class SerialRunner(Runner):
-    """Sequential reference execution: one window, the whole stream.
-
-    Ignores ``n_workers``/``sync_interval`` — each pass (Phase 1 and
-    Phase 2 alike) dispatches the kernel once over the full stream against
-    the global state, which is exactly the sequential pipeline (bit-exact
-    with ``TwoPhasePartitioner`` by construction).  Reports zero syncs.
-    """
-
-    kind = "serial"
-
-    def open(self, job: ShardedJob) -> RunnerSession:
-        return _SerialSession(job)
-
-
-class _SerialSession(RunnerSession):
-    def __init__(self, job: ShardedJob) -> None:
-        self.job = job
-
-    def run_degree_pass(self, n_hint: int | None = None) -> np.ndarray:
-        kernels = get_backend(self.job.backend)
-        return kernels.degree_pass(self.job.stream, n_hint)
-
-    def run_clustering(self, degrees, cap, n_passes):
-        job = self.job
-        kernels = get_backend(job.backend)
-        st = kernels.clustering_init(np.asarray(degrees, dtype=np.int64))
-        for _ in range(int(n_passes)):
-            kernels.clustering_true_pass(job.stream, st, cap, job.cost)
-        v2c, volumes, _ = kernels.clustering_export(st)
-        return v2c, volumes, 0
-
-    def run_pass(self, pass_name: str) -> tuple[int, int]:
-        job = self.job
-        kernel = getattr(get_backend(job.backend), PASS_METHODS[pass_name])
-        out = kernel(job.stream, _make_ctx(job, job.state, job.assignments))
-        return (0 if out is None else int(out)), 0
-
-
-# ----------------------------------------------------------------------
-# simulated (single-process round-robin)
-# ----------------------------------------------------------------------
-class _WindowStream:
-    """One sync window of a shard, consumable like a stream by kernels.
-
-    Holds at most ``sync_interval`` edges (the chunks already pulled from
-    the shard-window iterator), so worker windows — not the edge set —
-    bound the memory of the simulated parallel path.
-    """
-
-    __slots__ = ("_chunks", "n_edges")
-
-    n_vertices = None
-
-    def __init__(self, chunks, n_edges: int) -> None:
-        self._chunks = chunks
-        self.n_edges = n_edges
-
-    def chunks(self, chunk_size=None):
-        return iter(self._chunks)
-
-
-class _ShardCursor:
-    """Pulls one worker's shard from the stream in sync-window quanta.
-
-    Wraps a single :meth:`EdgeStream.window` iterator (one sequential
-    read of the shard per pass) and re-chunks it at window boundaries;
-    a partial chunk is carried over to the next window.
-    """
-
-    __slots__ = ("_iter", "_carry", "position", "remaining")
-
-    def __init__(self, stream, start: int, stop: int) -> None:
-        self._iter = stream.window(start, stop)
-        self._carry = None
-        self.position = start
-        self.remaining = stop - start
-
-    def take(self, n_edges: int) -> _WindowStream:
-        """Next window of up to ``n_edges`` edges, in stream order."""
-        chunks = []
-        got = 0
-        while got < n_edges:
-            if self._carry is not None:
-                chunk, self._carry = self._carry, None
-            else:
-                chunk = next(self._iter, None)
-                if chunk is None:
-                    break
-            need = n_edges - got
-            if chunk.shape[0] > need:
-                self._carry = chunk[need:]
-                chunk = chunk[:need]
-            if chunk.shape[0]:
-                chunks.append(chunk)
-                got += chunk.shape[0]
-        self.position += got
-        self.remaining -= got
-        return _WindowStream(chunks, got)
-
-
-class SimulatedRunner(Runner):
-    """Single-process round-robin execution of the sharded schedule.
-
-    Workers take turns in quanta so the interleaving (and therefore the
-    staleness pattern) matches a real parallel run with barrier syncs;
-    parallel wall-clock is *modeled* as
-    ``sequential_phase2 / n_workers + syncs * sync_latency``.
-    """
-
-    kind = "simulated"
-
-    def open(self, job: ShardedJob) -> RunnerSession:
-        return _SimulatedSession(job)
-
-    def parallel_wall_seconds(
-        self, phase2_seconds, n_workers, syncs, sync_latency
-    ) -> float:
-        return phase2_seconds / n_workers + syncs * sync_latency
-
-
-class _SimulatedSession(RunnerSession):
-    def __init__(self, job: ShardedJob) -> None:
-        self.job = job
-        self.worker_states: list[PartitionState] = []
-
-    # ------------------------------------------------------------------
-    # Phase 1
-    # ------------------------------------------------------------------
-    def run_degree_pass(self, n_hint: int | None = None) -> np.ndarray:
-        job = self.job
-        kernels = get_backend(job.backend)
-        partials = []
-        for w in range(job.n_workers):
-            start = int(job.shard_bounds[w])
-            stop = int(job.shard_bounds[w + 1])
-            if start == stop:
-                continue
-            try:
-                partials.append(
-                    kernels.degree_pass(_SubStream(job.stream, start, stop))
-                )
-            except PartitioningError:
-                raise
-            except Exception as exc:
-                raise _phase1_error(w, "degree", exc) from exc
-        return kernels.merge_phase1_degrees(partials, n_hint)
-
-    def run_clustering(self, degrees, cap, n_passes):
-        job = self.job
-        kernels = get_backend(job.backend)
-        degrees = np.asarray(degrees, dtype=np.int64)
-        m = int(job.shard_bounds[-1])
-        syncs = 0
-        if job.n_workers == 1:
-            # A single worker's clustering view is never stale: keep one
-            # live state across windows (bit-exact with the sequential
-            # pass, window boundaries being ordinary chunk boundaries).
-            st = kernels.clustering_init(degrees)
-            for _ in range(int(n_passes)):
-                cursor = _ShardCursor(job.stream, 0, m)
-                while cursor.remaining > 0:
-                    window = cursor.take(job.sync_interval)
-                    if window.n_edges == 0:
-                        break
-                    try:
-                        kernels.clustering_true_pass(
-                            window, st, cap, job.cost
-                        )
-                    except PartitioningError:
-                        raise
-                    except Exception as exc:
-                        raise _phase1_error(0, "clustering", exc) from exc
-                    syncs += 1
-            v2c, volumes, _ = kernels.clustering_export(st)
-            return v2c, volumes, syncs
-        v2c_g = np.full(degrees.shape[0], -1, dtype=np.int64)
-        vol_g = np.zeros(0, dtype=np.int64)
-        for _ in range(int(n_passes)):
-            cursors = [
-                _ShardCursor(
-                    job.stream,
-                    int(job.shard_bounds[w]),
-                    int(job.shard_bounds[w + 1]),
-                )
-                for w in range(job.n_workers)
-            ]
-            active = True
-            while active:
-                active = False
-                exports = []
-                for w in range(job.n_workers):
-                    cursor = cursors[w]
-                    if cursor.remaining <= 0:
-                        continue
-                    window = cursor.take(job.sync_interval)
-                    if window.n_edges == 0:
-                        continue
-                    active = True
-                    st = kernels.clustering_load(v2c_g, vol_g, degrees)
-                    try:
-                        kernels.clustering_true_pass(
-                            window, st, cap, job.cost
-                        )
-                    except PartitioningError:
-                        raise
-                    except Exception as exc:
-                        raise _phase1_error(w, "clustering", exc) from exc
-                    e_v2c, e_vol, _ = kernels.clustering_export(st)
-                    exports.append((e_v2c, e_vol))
-                if active:
-                    syncs += 1
-                    v2c_g, vol_g = kernels.merge_phase1_clustering(
-                        v2c_g, vol_g, exports, degrees
-                    )
-                    v2c_g, vol_g = compact_clustering(v2c_g, vol_g)
-        return v2c_g, vol_g, syncs
-
-    # ------------------------------------------------------------------
-    # Phase 2
-    # ------------------------------------------------------------------
-    def bind_phase2(self) -> None:
-        job = self.job
-        # A single worker's view is never stale, so it shares the global
-        # state outright (this is what makes n_workers=1 bit-exact with
-        # the sequential pipeline, with no merge work).
-        if job.n_workers == 1:
-            self.worker_states = [job.state]
-        else:
-            self.worker_states = [
-                PartitionState(
-                    job.state.n_vertices, job.k, job.state.n_edges,
-                    job.alpha, track_dirty=True, packed=job.state.packed,
-                )
-                for _ in range(job.n_workers)
-            ]
-
-    def run_pass(self, pass_name: str) -> tuple[int, int]:
-        job = self.job
-        pass_kernel = getattr(
-            get_backend(job.backend), PASS_METHODS[pass_name]
-        )
-        cursors = [
-            _ShardCursor(
-                job.stream,
-                int(job.shard_bounds[w]),
-                int(job.shard_bounds[w + 1]),
-            )
-            for w in range(job.n_workers)
-        ]
-        total = 0
-        syncs = 0
-        active = True
-        while active:
-            active = False
-            for w, worker_state in enumerate(self.worker_states):
-                cursor = cursors[w]
-                if cursor.remaining <= 0:
-                    continue
-                pos = cursor.position
-                window = cursor.take(job.sync_interval)
-                if window.n_edges == 0:
-                    continue
-                active = True
-                if worker_state.dirty is not None:
-                    window = _DirtyMarkingStream(window, worker_state)
-                ctx = _make_ctx(
-                    job,
-                    worker_state,
-                    job.assignments[pos : pos + window.n_edges],
-                )
-                out = pass_kernel(window, ctx)
-                if out is not None:
-                    total += int(out)
-            if active:
-                syncs += 1
-                rows = merge_barrier(job.state, self.worker_states)
-                if self.worker_states[0] is not job.state:
-                    self.barrier_rows += rows
-                    self.barrier_full_rows += job.state.n_vertices
-        return total, syncs
-
-    def extra_state_bytes(self) -> int:
-        return sum(
-            ws.nbytes()
-            for ws in self.worker_states
-            if ws is not self.job.state
-        )
-
-
-# ----------------------------------------------------------------------
-# process (true multiprocessing over shared memory)
-# ----------------------------------------------------------------------
-#: Names of shared segments currently owned by live process sessions.
-#: Test/debug hook: must be empty whenever no session is open.
-_LIVE_SEGMENTS: set[str] = set()
-
-
-def live_shared_segments() -> frozenset[str]:
-    """Segment names owned by open process sessions (leak-check hook)."""
-    return frozenset(_LIVE_SEGMENTS)
-
-
-def default_start_method() -> str:
-    """``fork`` where available (cheap, inherits the backend registry),
-    else ``spawn``."""
-    import multiprocessing as mp
-
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-
-
-@dataclass
-class _WorkerPayload:
-    """Once-per-process initialization shipped to every pool worker.
-
-    Deliberately tiny — a stream spec plus scalars — so opening a session
-    is O(1) in ``|V|``; the Phase-1 arrays and every state view are
-    attached lazily from shared segments named in the task tuples.
-    """
-
-    spec: object
-    n_edges: int
-    k: int
-    alpha: float
-    backend: str | None
-    hash_seed: int
-    hdrf_lambda: float
-
-
 class _SubStream:
     """A ``[start, stop)`` stream window, consumable by kernels.
 
-    Unlike :class:`_WindowStream` it is lazy: chunks come straight from
-    the underlying stream's window iterator, so a worker holds at most
-    one chunk of its current window in memory.
+    Lazy: chunks come straight from the underlying stream's window
+    iterator, so a worker holds at most one chunk of its current window
+    in memory.
     """
 
     __slots__ = ("_stream", "_start", "_stop", "n_edges")
@@ -733,6 +347,425 @@ class _DirtyMarkingStream:
             yield chunk
 
 
+def cluster_window(kernels, stream, start, stop, v2c, volumes, degrees, cap):
+    """One Phase-1 clustering window against a stale snapshot.
+
+    ``clustering_load`` -> ``clustering_true_pass`` over ``[start, stop)``
+    -> ``clustering_export``; returns the export plus the window's cost
+    tuple ``(v2c, volumes, cost)``.
+    """
+    st = kernels.clustering_load(v2c, volumes, degrees)
+    cost = CostCounter()
+    kernels.clustering_true_pass(_SubStream(stream, start, stop), st, cap, cost)
+    v2c, volumes, _ = kernels.clustering_export(st)
+    return v2c, volumes, astuple(cost)
+
+
+def phase2_context(params, v2c, c2p, volumes, degrees) -> TwoPhaseContext:
+    """The read-only part of a Phase-2 kernel context.
+
+    ``params`` supplies ``k``, ``hash_seed`` and ``hdrf_lambda``; each
+    window fills in ``state``, ``assignments`` and ``cost``.
+    """
+    return TwoPhaseContext(
+        k=params.k,
+        v2c=v2c,
+        c2p=c2p,
+        volumes=volumes,
+        degrees=degrees,
+        state=None,
+        assignments=None,
+        hash_seed=params.hash_seed,
+        cost=None,
+        hdrf_lambda=params.hdrf_lambda,
+    )
+
+
+def phase2_window(kernels, stream, ctx, view, assignments, pass_name, start, stop):
+    """One Phase-2 window: ``pass_name`` over ``[start, stop)``.
+
+    Runs against the worker's ``view`` (its window-endpoint rows marked
+    dirty when the view tracks them), writing ``assignments`` — the
+    window's slice.  Returns ``(kernel total, cost tuple)``.
+    """
+    cost = CostCounter()
+    window = _SubStream(stream, start, stop)
+    if view.dirty is not None:
+        window = _DirtyMarkingStream(window, view)
+    out = getattr(kernels, PASS_METHODS[pass_name])(
+        window, replace(ctx, state=view, assignments=assignments, cost=cost)
+    )
+    return (0 if out is None else int(out)), astuple(cost)
+
+
+# ----------------------------------------------------------------------
+# runner protocol and the schedule driver
+# ----------------------------------------------------------------------
+class RunnerSession:
+    """One run's execution state; the base class is the schedule driver.
+
+    :meth:`run_degree_pass`, :meth:`run_clustering` and :meth:`run_pass`
+    walk the schedule (see the module docstring).  Transports implement
+    the hooks below them: run one sweep's windows, returning an iterable
+    of per-window results in ascending worker order, and apply one
+    Phase-2 barrier.
+    """
+
+    #: Rows merged by Phase-2 delta barriers / rows a full re-broadcast
+    #: would have merged (equal when the full path ran).
+    barrier_rows: int = 0
+    barrier_full_rows: int = 0
+
+    def __init__(self, job: ShardedJob) -> None:
+        self.job = job
+
+    # -- the driver ----------------------------------------------------
+    def run_degree_pass(self, n_hint: int | None = None) -> np.ndarray:
+        """Per-shard partial degree vectors, merged by summation."""
+        bounds = self.job.shard_bounds
+        shards = [
+            (w, int(bounds[w]), int(bounds[w + 1]))
+            for w in range(self.job.n_workers)
+            if bounds[w] < bounds[w + 1]
+        ]
+        partials = _gather("degree", shards, self._degree_windows(shards))
+        return get_backend(self.job.backend).merge_phase1_degrees(partials, n_hint)
+
+    def run_clustering(
+        self, degrees: np.ndarray, cap: float, n_passes: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Sharded Phase-1 clustering; returns ``(v2c, volumes, syncs)``."""
+        job = self.job
+        kernels = get_backend(job.backend)
+        degrees = np.asarray(degrees, dtype=np.int64)
+        v2c = np.full(degrees.shape[0], -1, dtype=np.int64)
+        volumes = np.zeros(0, dtype=np.int64)
+        syncs = 0
+        self._phase1_open(degrees, float(cap))
+        for _ in range(int(n_passes)):
+            for sweep in sweep_windows(job.shard_bounds, job.sync_interval):
+                exports = _gather(
+                    "clustering", sweep, self._cluster_windows(sweep, v2c, volumes)
+                )
+                for _, _, cost in exports:
+                    _merge_cost(job.cost, cost)
+                syncs += 1
+                if job.n_workers == 1:
+                    # Never stale: the export is the next snapshot as is.
+                    ((v2c, volumes, _),) = exports
+                    continue
+                v2c, volumes = kernels.merge_phase1_clustering(
+                    v2c, volumes, [export[:2] for export in exports], degrees
+                )
+                v2c, volumes = compact_clustering(v2c, volumes)
+        self._phase1_close()
+        return v2c, volumes, syncs
+
+    def run_pass(self, pass_name: str) -> tuple[int, int]:
+        """One sharded Phase-2 pass; returns ``(total, syncs)``."""
+        if pass_name not in PASS_METHODS:
+            raise ConfigurationError(f"unknown pass {pass_name!r}")
+        job = self.job
+        total = syncs = 0
+        for sweep in sweep_windows(job.shard_bounds, job.sync_interval):
+            windows = self._phase2_windows(pass_name, sweep)
+            for out, cost in _gather(pass_name, sweep, windows):
+                total += out
+                _merge_cost(job.cost, cost)
+            rows = self._barrier(pass_name)
+            syncs += 1
+            if rows is not None:
+                self.barrier_rows += rows
+                self.barrier_full_rows += job.state.n_vertices
+        return total, syncs
+
+    # -- transport hooks -----------------------------------------------
+    def _degree_windows(self, shards):
+        """Degree partials of ``shards`` (one window per shard)."""
+        raise NotImplementedError
+
+    def _phase1_open(self, degrees: np.ndarray, cap: float) -> None:
+        """Prepare the clustering windows (true degrees, volume cap)."""
+
+    def _cluster_windows(self, sweep, v2c, volumes):
+        """``cluster_window`` results of ``sweep`` from the snapshot."""
+        raise NotImplementedError
+
+    def _phase1_close(self) -> None:
+        """Release clustering-only resources."""
+
+    def _phase2_windows(self, pass_name: str, sweep):
+        """``phase2_window`` results of ``sweep``."""
+        raise NotImplementedError
+
+    def _barrier(self, pass_name: str) -> int | None:
+        """Merge and refresh every view; rows merged (None: no views)."""
+        raise NotImplementedError
+
+    # -- lifecycle -----------------------------------------------------
+    def bind_phase2(self) -> None:
+        """Allocate Phase-2 execution state once the job carries the
+        Phase-1 arrays, the global state and the assignment array."""
+
+    def finalize(self) -> None:
+        """Copy shared results back into the job arrays (success path)."""
+
+    def close(self) -> None:
+        """Release every resource; idempotent, safe on error paths."""
+
+    def extra_state_bytes(self) -> int:
+        """Bytes held by per-worker state views beyond the global state."""
+        return 0
+
+    def wire_stats(self) -> dict | None:
+        """Wire-traffic accounting (distributed sessions only)."""
+        return None
+
+
+class Runner(ABC):
+    """Opens the execution session of one 2PS-L run."""
+
+    #: Registry name; subclasses override.
+    kind: str = "abstract"
+
+    #: True when wall-clock measured around ``run_pass`` is real parallel
+    #: time (processes actually ran concurrently), False when it is
+    #: single-process compute that a model must convert.
+    measures_wallclock: bool = False
+
+    @abstractmethod
+    def open(self, job: ShardedJob) -> RunnerSession:
+        """Start a session for one run (allocate views, pools, segments)."""
+
+    def parallel_wall_seconds(
+        self,
+        phase2_seconds: float,
+        n_workers: int,
+        syncs: int,
+        sync_latency: float,
+    ) -> float:
+        """Parallel Phase-2 wall-clock estimate for the result extras."""
+        return phase2_seconds  # measured runners: the timer already is it
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<{type(self).__name__} kind={self.kind!r}>"
+
+
+# ----------------------------------------------------------------------
+# serial
+# ----------------------------------------------------------------------
+class SerialRunner(Runner):
+    """Sequential reference execution: one window, the whole stream.
+
+    Ignores ``n_workers``/``sync_interval`` — each pass (Phase 1 and
+    Phase 2 alike) dispatches the kernel once over the stream object
+    itself against the global state: the sequential pipeline.  Reports
+    zero syncs.
+    """
+
+    kind = "serial"
+
+    def open(self, job: ShardedJob) -> RunnerSession:
+        return _SerialSession(job)
+
+
+class _SerialSession(RunnerSession):
+    def run_degree_pass(self, n_hint: int | None = None) -> np.ndarray:
+        return get_backend(self.job.backend).degree_pass(self.job.stream, n_hint)
+
+    def run_clustering(self, degrees, cap, n_passes):
+        job = self.job
+        result = StreamingClustering(
+            n_passes=n_passes, volume_cap=cap, backend=job.backend
+        ).run(job.stream, degrees=degrees, cost=job.cost)
+        return result.v2c, result.volumes, 0
+
+    def run_pass(self, pass_name: str) -> tuple[int, int]:
+        job = self.job
+        ctx = phase2_context(job, job.v2c, job.c2p, job.volumes, job.degrees)
+        kernel = getattr(get_backend(job.backend), PASS_METHODS[pass_name])
+        out = kernel(
+            job.stream,
+            replace(ctx, state=job.state, assignments=job.assignments, cost=job.cost),
+        )
+        return (0 if out is None else int(out)), 0
+
+
+# ----------------------------------------------------------------------
+# simulated (single-process round-robin)
+# ----------------------------------------------------------------------
+class SimulatedRunner(Runner):
+    """Single-process round-robin execution of the sharded schedule.
+
+    Workers take turns window by window so the interleaving (and
+    therefore the staleness pattern) matches a real parallel run with
+    barrier syncs; parallel wall-clock is *modeled* as
+    ``sequential_phase2 / n_workers + syncs * sync_latency``.
+    """
+
+    kind = "simulated"
+
+    def open(self, job: ShardedJob) -> RunnerSession:
+        return _SimulatedSession(job)
+
+    def parallel_wall_seconds(
+        self, phase2_seconds, n_workers, syncs, sync_latency
+    ) -> float:
+        return phase2_seconds / n_workers + syncs * sync_latency
+
+
+class _SimulatedSession(RunnerSession):
+    def __init__(self, job: ShardedJob) -> None:
+        super().__init__(job)
+        self.kernels = get_backend(job.backend)
+        self.views: list[PartitionState] = []
+
+    def _degree_windows(self, shards):
+        for _, start, stop in shards:
+            yield self.kernels.degree_pass(_SubStream(self.job.stream, start, stop))
+
+    def _phase1_open(self, degrees, cap) -> None:
+        self._phase1 = (degrees, cap)
+
+    def _cluster_windows(self, sweep, v2c, volumes):
+        for _, start, stop in sweep:
+            yield cluster_window(
+                self.kernels, self.job.stream, start, stop, v2c, volumes, *self._phase1
+            )
+
+    def bind_phase2(self) -> None:
+        job = self.job
+        self.ctx = phase2_context(job, job.v2c, job.c2p, job.volumes, job.degrees)
+        # A single worker's view is never stale, so it shares the global
+        # state outright: no merge work and no barrier accounting.
+        if job.n_workers == 1:
+            self.views = [job.state]
+            return
+        self.views = [
+            PartitionState(
+                job.state.n_vertices,
+                job.k,
+                job.state.n_edges,
+                job.alpha,
+                track_dirty=True,
+                packed=job.state.packed,
+            )
+            for _ in range(job.n_workers)
+        ]
+
+    def _phase2_windows(self, pass_name, sweep):
+        job = self.job
+        for w, start, stop in sweep:
+            yield phase2_window(
+                self.kernels,
+                job.stream,
+                self.ctx,
+                self.views[w],
+                job.assignments[start:stop],
+                pass_name,
+                start,
+                stop,
+            )
+
+    def _barrier(self, pass_name):
+        if self.views[0] is self.job.state:
+            return None
+        return merge_barrier(self.job.state, self.views)
+
+    def extra_state_bytes(self) -> int:
+        return sum(ws.nbytes() for ws in self.views if ws is not self.job.state)
+
+
+# ----------------------------------------------------------------------
+# process (true multiprocessing over shared memory)
+# ----------------------------------------------------------------------
+#: Names of shared segments currently owned by live process sessions.
+#: Test/debug hook: must be empty whenever no session is open.
+_LIVE_SEGMENTS: set[str] = set()
+
+
+def live_shared_segments() -> frozenset[str]:
+    """Segment names owned by open process sessions (leak-check hook)."""
+    return frozenset(_LIVE_SEGMENTS)
+
+
+def default_start_method() -> str:
+    """``fork`` where available (cheap, inherits the backend registry),
+    else ``spawn``."""
+    import multiprocessing as mp
+
+    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+
+def check_start_method(start_method: str | None) -> None:
+    """Reject a ``multiprocessing`` start method this host lacks."""
+    import multiprocessing as mp
+
+    if start_method is not None and start_method not in mp.get_all_start_methods():
+        raise ConfigurationError(
+            f"start_method {start_method!r} not available; "
+            f"choose from {mp.get_all_start_methods()}"
+        )
+
+
+@dataclass
+class _WorkerPayload:
+    """Once-per-worker initialization, for pool and socket workers alike.
+
+    Deliberately tiny — a stream spec plus scalars — so opening a session
+    is O(1) in ``|V|``; the Phase-1 arrays and every state view reach the
+    workers later (shared segments or bind frames).
+    """
+
+    spec: object
+    n_edges: int
+    k: int
+    alpha: float
+    backend: str | None
+    hash_seed: int
+    hdrf_lambda: float
+
+    @classmethod
+    def of(cls, job: ShardedJob, spec) -> _WorkerPayload:
+        return cls(
+            spec=spec,
+            n_edges=int(job.shard_bounds[-1]),
+            k=job.k,
+            alpha=job.alpha,
+            backend=job.backend,
+            hash_seed=job.hash_seed,
+            hdrf_lambda=job.hdrf_lambda,
+        )
+
+
+def open_worker(payload: _WorkerPayload) -> dict:
+    """Worker-side context: the payload, the reopened stream, the kernels."""
+    return {
+        "payload": payload,
+        "stream": payload.spec.open(),
+        "kernels": get_backend(payload.backend),
+    }
+
+
+def _cluster_layout(buf, n: int, cap_ids: int, n_workers: int):
+    """The Phase-1 scratch: degrees, then per worker ``(header, v2c,
+    volumes)`` slots (``header[0]`` = live cluster ids in the slot)."""
+    arena = _BufferArena(buf)
+    degrees = arena(n, np.int64)
+    slots = [
+        (arena(1, np.int64), arena(n, np.int64), arena(cap_ids, np.int64))
+        for _ in range(n_workers)
+    ]
+    return degrees, slots
+
+
+def _phase1_layout(buf, n: int, n_clusters: int):
+    """The read-only Phase-1 arrays ``(v2c, c2p, volumes, degrees)``."""
+    arena = _BufferArena(buf)
+    sizes = (n, n_clusters, n_clusters, n)
+    return tuple(arena(size, np.int64) for size in sizes)
+
+
 _WORKER = None  # per-process context, set by _process_worker_init
 
 
@@ -747,154 +780,100 @@ def _process_worker_init(payload: _WorkerPayload) -> None:
     """
     global _WORKER
     try:
-        stream = payload.spec.open()
-        _WORKER = {
-            "payload": payload,
-            "stream": stream,
-            "kernels": get_backend(payload.backend),
-        }
+        _WORKER = open_worker(payload)
     except BaseException as exc:  # noqa: BLE001 - see docstring
         _WORKER = {"init_error": f"{type(exc).__name__}: {exc}"}
 
 
-def _attach_cluster(ref) -> dict:
-    """Map the Phase-1 clustering scratch segment (memoized per ref)."""
-    cached = _WORKER.get("cluster")
-    if cached is not None and cached["ref"] == ref:
-        return cached
-    from multiprocessing import shared_memory
+def _attached(key: str, ref, attach):
+    """Map a session segment once per worker (memoized per ``ref``)."""
+    cached = _WORKER.get(key)
+    if cached is None or cached["ref"] != ref:
+        from multiprocessing import shared_memory
 
-    name, n, cap_ids, n_workers = ref
-    shm = shared_memory.SharedMemory(name=name, create=False)
-    arena = _BufferArena(shm.buf)
-    degrees = arena(n, np.int64)
-    slots = []
-    for _ in range(n_workers):
-        header = arena(1, np.int64)
-        v2c = arena(n, np.int64)
-        vol = arena(cap_ids, np.int64)
-        slots.append((header, v2c, vol))
-    cached = {"ref": ref, "shm": shm, "degrees": degrees, "slots": slots}
-    _WORKER["cluster"] = cached
+        shms = [shared_memory.SharedMemory(name=name) for name in ref[0]]
+        cached = {"ref": ref, "shms": shms, **attach(shms, *ref[1:])}
+        _WORKER[key] = cached
     return cached
 
 
-def _attach_phase2(ref) -> dict:
-    """Map the Phase-2 segments (assignments, views, Phase-1 arrays)."""
-    cached = _WORKER.get("phase2")
-    if cached is not None and cached["ref"] == ref:
-        return cached
-    from multiprocessing import shared_memory
+def _attach_cluster(shms, n, cap_ids, n_workers) -> dict:
+    degrees, slots = _cluster_layout(shms[0].buf, n, cap_ids, n_workers)
+    return {"degrees": degrees, "slots": slots}
 
+
+def _attach_phase2(shms, view_names, n, n_clusters, packed) -> dict:
     payload = _WORKER["payload"]
-    assign_name, state_names, phase1_name, n, n_clusters, packed = ref
-    assign_shm = shared_memory.SharedMemory(name=assign_name, create=False)
-    assignments = np.ndarray(
-        payload.n_edges, dtype=np.int32, buffer=assign_shm.buf
-    )
-    views = [
-        PartitionState.attach(
-            name, n, payload.k, payload.n_edges, payload.alpha,
-            track_dirty=True, packed=packed,
-        )
-        for name in state_names
-    ]
-    p1_shm = shared_memory.SharedMemory(name=phase1_name, create=False)
-    arena = _BufferArena(p1_shm.buf)
-    cached = {
-        "ref": ref,
-        "assign_shm": assign_shm,
-        "assignments": assignments,
-        "views": views,
-        "p1_shm": p1_shm,
-        "v2c": arena(n, np.int64),
-        "c2p": arena(n_clusters, np.int64),
-        "volumes": arena(n_clusters, np.int64),
-        "degrees": arena(n, np.int64),
+    phase1 = _phase1_layout(shms[1].buf, n, n_clusters)
+    return {
+        "assignments": np.ndarray(
+            payload.n_edges, dtype=np.int32, buffer=shms[0].buf
+        ),
+        "views": [
+            PartitionState.attach(
+                name,
+                n,
+                payload.k,
+                payload.n_edges,
+                payload.alpha,
+                track_dirty=True,
+                packed=packed,
+            )
+            for name in view_names
+        ],
+        "ctx": phase2_context(payload, *phase1),
     }
-    _WORKER["phase2"] = cached
-    return cached
 
 
 def _process_worker_task(task):
-    """One task in a pool worker, dispatched on the task kind.
+    """One window in a pool worker, dispatched on the task kind.
 
     Any pool process may execute any shard worker's window (every process
     can map every segment); within a sweep the windows of distinct shard
-    workers touch disjoint views and disjoint assignment slices, so there
+    workers touch disjoint slots, views and assignment slices, so there
     are no cross-process races by construction.
     """
-    ctx_globals = _WORKER
-    if "init_error" in ctx_globals:
+    if "init_error" in _WORKER:
         raise PartitioningError(
-            "process worker initialization failed: "
-            + ctx_globals["init_error"]
+            "process worker initialization failed: " + _WORKER["init_error"]
         )
-    kind = task[0]
+    kind, w, start, stop, ref, arg = task
+    kernels, stream = _WORKER["kernels"], _WORKER["stream"]
     if kind == "degree":
-        _, start, stop = task
-        return ctx_globals["kernels"].degree_pass(
-            _SubStream(ctx_globals["stream"], start, stop)
-        )
+        return kernels.degree_pass(_SubStream(stream, start, stop))
     if kind == "cluster":
-        return _worker_cluster_window(task)
-    return _worker_phase2_window(task)
-
-
-def _worker_cluster_window(task):
-    """One Phase-1 clustering sync window against the shared scratch."""
-    _, worker_index, start, stop, ref, cap = task
-    ctx_globals = _WORKER
-    cluster = _attach_cluster(ref)
-    header, v2c_view, vol_view = cluster["slots"][worker_index]
-    kernels = ctx_globals["kernels"]
-    n_ids = int(header[0])
-    st = kernels.clustering_load(
-        v2c_view, vol_view[:n_ids], cluster["degrees"]
-    )
-    cost = CostCounter()
-    window = _SubStream(ctx_globals["stream"], start, stop)
-    kernels.clustering_true_pass(window, st, cap, cost)
-    v2c_out, vol_out, _ = kernels.clustering_export(st)
-    if vol_out.shape[0] > vol_view.shape[0]:  # pragma: no cover - bound proof
-        raise PartitioningError(
-            f"phase-1 cluster-id capacity exceeded: {vol_out.shape[0]} ids "
-            f"for a scratch of {vol_view.shape[0]}"
+        scratch = _attached("cluster", ref, _attach_cluster)
+        header, v2c_slot, vol_slot = scratch["slots"][w]
+        v2c, volumes, cost = cluster_window(
+            kernels,
+            stream,
+            start,
+            stop,
+            v2c_slot,
+            vol_slot[: int(header[0])],
+            scratch["degrees"],
+            arg,
         )
-    v2c_view[:] = v2c_out
-    vol_view[: vol_out.shape[0]] = vol_out
-    header[0] = vol_out.shape[0]
-    return astuple(cost)
-
-
-def _worker_phase2_window(task):
-    """One Phase-2 sync window; returns the kernel total and this
-    window's cost-counter delta for the parent to merge."""
-    worker_index, pass_name, start, stop, ref = task
-    ctx_globals = _WORKER
-    payload = ctx_globals["payload"]
-    phase2 = _attach_phase2(ref)
-    cost = CostCounter()
-    view = phase2["views"][worker_index]
-    ctx = TwoPhaseContext(
-        k=payload.k,
-        v2c=phase2["v2c"],
-        c2p=phase2["c2p"],
-        volumes=phase2["volumes"],
-        degrees=phase2["degrees"],
-        state=view,
-        assignments=phase2["assignments"][start:stop],
-        hash_seed=payload.hash_seed,
-        cost=cost,
-        hdrf_lambda=payload.hdrf_lambda,
+        if volumes.shape[0] > vol_slot.shape[0]:  # pragma: no cover - bound
+            raise PartitioningError(
+                f"phase-1 cluster-id capacity exceeded: {volumes.shape[0]} "
+                f"ids for a scratch of {vol_slot.shape[0]}"
+            )
+        v2c_slot[:] = v2c
+        vol_slot[: volumes.shape[0]] = volumes
+        header[0] = volumes.shape[0]
+        return cost
+    phase2 = _attached("phase2", ref, _attach_phase2)
+    return phase2_window(
+        kernels,
+        stream,
+        phase2["ctx"],
+        phase2["views"][w],
+        phase2["assignments"][start:stop],
+        arg,
+        start,
+        stop,
     )
-    window = _DirtyMarkingStream(
-        _SubStream(ctx_globals["stream"], start, stop), view
-    )
-    out = getattr(ctx_globals["kernels"], PASS_METHODS[pass_name])(
-        window, ctx
-    )
-    return (0 if out is None else int(out)), astuple(cost)
 
 
 class ProcessRunner(Runner):
@@ -922,14 +901,7 @@ class ProcessRunner(Runner):
         start_method: str | None = None,
         task_timeout: float = 600.0,
     ) -> None:
-        if start_method is not None:
-            import multiprocessing as mp
-
-            if start_method not in mp.get_all_start_methods():
-                raise ConfigurationError(
-                    f"start_method {start_method!r} not available; "
-                    f"choose from {mp.get_all_start_methods()}"
-                )
+        check_start_method(start_method)
         if task_timeout <= 0:
             raise ConfigurationError(
                 f"task_timeout must be positive, got {task_timeout}"
@@ -943,14 +915,12 @@ class ProcessRunner(Runner):
 
 class _ProcessSession(RunnerSession):
     def __init__(self, runner: ProcessRunner, job: ShardedJob) -> None:
-        self.job = job
+        super().__init__(job)
         self._timeout = runner.task_timeout
         self._pool = None
-        self._stream_shm = None
-        self._assign_shm = None
+        self._segments: list = []
+        self._scratch = None
         self._assign_view = None
-        self._cluster_shm = None
-        self._phase1_shm = None
         self._phase2_ref = None
         self.views: list[PartitionState] = []
         self._closed = False
@@ -966,168 +936,39 @@ class _ProcessSession(RunnerSession):
 
         # Start the parent's resource tracker BEFORE the pool exists, so
         # every worker inherits it and all segment registrations land in
-        # one tracker that the parent's unlink can clear.  Session open no
-        # longer creates a segment up front (workers attach lazily), so
-        # without this a forked worker would lazily spawn its *own*
-        # tracker, whose attach registrations nobody unregisters —
-        # spurious "leaked shared_memory objects" warnings at shutdown.
+        # one tracker that the parent's unlink can clear.  Session open
+        # creates no segment up front (workers attach lazily), so without
+        # this a forked worker would lazily spawn its *own* tracker, whose
+        # attach registrations nobody unregisters — spurious "leaked
+        # shared_memory objects" warnings at shutdown.
         resource_tracker.ensure_running()
 
         job = self.job
-        spec, self._stream_shm = make_stream_spec(job.stream)
-        if self._stream_shm is not None:
-            _LIVE_SEGMENTS.add(self._stream_shm.name)
-        payload = _WorkerPayload(
-            spec=spec,
-            n_edges=int(job.shard_bounds[-1]),
-            k=job.k,
-            alpha=job.alpha,
-            backend=job.backend,
-            hash_seed=job.hash_seed,
-            hdrf_lambda=job.hdrf_lambda,
-        )
+        spec, stream_shm = make_stream_spec(job.stream)
+        if stream_shm is not None:
+            self._own(stream_shm)
         ctx = mp.get_context(runner.start_method or default_start_method())
         self._pool = ctx.Pool(
             processes=job.n_workers,
             initializer=_process_worker_init,
-            initargs=(payload,),
+            initargs=(_WorkerPayload.of(job, spec),),
         )
+
+    def _own(self, shm):
+        self._segments.append(shm)
+        _LIVE_SEGMENTS.add(shm.name)
+        return shm
 
     def _create_segment(self, nbytes: int):
         from multiprocessing import shared_memory
 
-        shm = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
-        _LIVE_SEGMENTS.add(shm.name)
+        shm = self._own(shared_memory.SharedMemory(create=True, size=max(nbytes, 1)))
         np.frombuffer(shm.buf, dtype=np.uint8)[:] = 0
         return shm
 
-    def _collect(self, handles, step: str):
-        """Gather async results in task order, converting failures into
-        the typed Phase-1/Phase-2 errors."""
-        import multiprocessing as mp
-
-        results = []
-        for w, handle in handles:
-            try:
-                results.append(handle.get(timeout=self._timeout))
-            except mp.TimeoutError as exc:
-                raise PartitioningError(
-                    f"process runner: a {step} window exceeded the "
-                    f"{self._timeout:.0f}s task timeout (worker died or "
-                    "deadlocked)"
-                ) from exc
-            except PartitioningError:
-                raise
-            except Exception as exc:
-                if step in ("degree", "clustering"):
-                    raise _phase1_error(w, step, exc) from exc
-                raise
-        return results
-
-    # ------------------------------------------------------------------
-    # Phase 1
-    # ------------------------------------------------------------------
-    def run_degree_pass(self, n_hint: int | None = None) -> np.ndarray:
-        job = self.job
-        handles = []
-        for w in range(job.n_workers):
-            start = int(job.shard_bounds[w])
-            stop = int(job.shard_bounds[w + 1])
-            if start == stop:
-                continue
-            handles.append(
-                (w, self._pool.apply_async(
-                    _process_worker_task, (("degree", start, stop),)
-                ))
-            )
-        partials = self._collect(handles, "degree")
-        return get_backend(job.backend).merge_phase1_degrees(
-            partials, n_hint
-        )
-
-    def run_clustering(self, degrees, cap, n_passes):
-        degrees = np.asarray(degrees, dtype=np.int64)
-        n = int(degrees.shape[0])
-        m = int(self.job.shard_bounds[-1])
-        cap_ids = cluster_id_capacity(m, n, self.job.n_workers)
-        nbytes = 8 * (n + self.job.n_workers * (1 + n + cap_ids))
-        self._cluster_shm = self._create_segment(nbytes)
-        result = self._run_clustering_windows(
-            degrees, cap, int(n_passes), n, cap_ids
-        )
-        # Phase 2 never reads the scratch: release it now instead of at
-        # close().  Every parent-side view died with the helper frame
-        # above (so the mapping can drop), and pool workers keep their
-        # memoized mapping until the pool dies — unlinking under live
-        # mappings is safe on POSIX.
-        scratch, self._cluster_shm = self._cluster_shm, None
-        self._release_segment(scratch)
-        return result
-
-    def _run_clustering_windows(self, degrees, cap, n_passes, n, cap_ids):
-        """Sweep/barrier loop over the scratch segment; every view over
-        the segment is local to this frame (see ``run_clustering``)."""
-        job = self.job
-        kernels = get_backend(job.backend)
-        arena = _BufferArena(self._cluster_shm.buf)
-        deg_view = arena(n, np.int64)
-        deg_view[:] = degrees
-        slots = []
-        for _ in range(job.n_workers):
-            header = arena(1, np.int64)
-            v2c_view = arena(n, np.int64)
-            vol_view = arena(cap_ids, np.int64)
-            v2c_view[:] = -1
-            slots.append((header, v2c_view, vol_view))
-        ref = (self._cluster_shm.name, n, cap_ids, job.n_workers)
-        single = job.n_workers == 1
-        v2c_g = np.full(n, -1, dtype=np.int64)
-        vol_g = np.zeros(0, dtype=np.int64)
-        syncs = 0
-        for _ in range(n_passes):
-            position = [int(job.shard_bounds[w]) for w in range(job.n_workers)]
-            stop = [int(job.shard_bounds[w + 1]) for w in range(job.n_workers)]
-            while True:
-                tasks = _sweep_schedule(
-                    position, stop, job.sync_interval, "cluster"
-                )
-                if not tasks:
-                    break
-                handles = [
-                    (w, self._pool.apply_async(
-                        _process_worker_task,
-                        (("cluster", w, t_start, t_stop, ref, cap),),
-                    ))
-                    for w, _, t_start, t_stop in tasks
-                ]
-                for delta in self._collect(handles, "clustering"):
-                    _merge_cost(job.cost, delta)
-                syncs += 1
-                if single:
-                    continue  # the lone worker's slot stays live
-                exports = [
-                    (slots[w][1], slots[w][2][: int(slots[w][0][0])])
-                    for w, _, _, _ in tasks
-                ]
-                v2c_g, vol_g = kernels.merge_phase1_clustering(
-                    v2c_g, vol_g, exports, degrees
-                )
-                v2c_g, vol_g = compact_clustering(v2c_g, vol_g)
-                for header, v2c_view, vol_view in slots:
-                    v2c_view[:] = v2c_g
-                    vol_view[: vol_g.shape[0]] = vol_g
-                    header[0] = vol_g.shape[0]
-        if single:
-            header, v2c_view, vol_view = slots[0]
-            v2c_g = np.array(v2c_view, dtype=np.int64, copy=True)
-            vol_g = np.array(
-                vol_view[: int(header[0])], dtype=np.int64, copy=True
-            )
-        return v2c_g, vol_g, syncs
-
-    @staticmethod
-    def _release_segment(shm) -> None:
+    def _release_segment(self, shm) -> None:
         """Unlink one owned segment (idempotent against cleanup races)."""
+        self._segments.remove(shm)
         _LIVE_SEGMENTS.discard(shm.name)
         shm.close()
         try:
@@ -1135,21 +976,72 @@ class _ProcessSession(RunnerSession):
         except FileNotFoundError:  # pragma: no cover - cleanup race
             pass
 
-    # ------------------------------------------------------------------
-    # Phase 2
-    # ------------------------------------------------------------------
+    def _results(self, step: str, tasks):
+        """Submit one sweep's tasks, then yield their results in order."""
+        import multiprocessing as mp
+
+        handles = [
+            self._pool.apply_async(_process_worker_task, (task,)) for task in tasks
+        ]
+        for handle in handles:
+            try:
+                yield handle.get(timeout=self._timeout)
+            except mp.TimeoutError as exc:
+                raise PartitioningError(
+                    f"process runner: a {step} window exceeded the "
+                    f"{self._timeout:.0f}s task timeout (worker died or "
+                    "deadlocked)"
+                ) from exc
+
+    # -- Phase 1 -------------------------------------------------------
+    def _degree_windows(self, shards):
+        tasks = [("degree", w, start, stop, None, None) for w, start, stop in shards]
+        return self._results("degree", tasks)
+
+    def _phase1_open(self, degrees, cap) -> None:
+        job = self.job
+        n = int(degrees.shape[0])
+        cap_ids = cluster_id_capacity(int(job.shard_bounds[-1]), n)
+        shm = self._create_segment(8 * (n + job.n_workers * (1 + n + cap_ids)))
+        _cluster_layout(shm.buf, n, cap_ids, job.n_workers)[0][:] = degrees
+        self._scratch = (shm, ((shm.name,), n, cap_ids, job.n_workers), cap)
+
+    def _cluster_windows(self, sweep, v2c, volumes):
+        shm, ref, cap = self._scratch
+        _, slots = _cluster_layout(shm.buf, *ref[1:])
+        for w, _, _ in sweep:
+            header, v2c_slot, vol_slot = slots[w]
+            v2c_slot[:] = v2c
+            vol_slot[: volumes.shape[0]] = volumes
+            header[0] = volumes.shape[0]
+        tasks = [("cluster", w, start, stop, ref, cap) for w, start, stop in sweep]
+        for (w, _, _), cost in zip(sweep, self._results("clustering", tasks)):
+            header, v2c_slot, vol_slot = slots[w]
+            yield v2c_slot.copy(), vol_slot[: int(header[0])].copy(), cost
+
+    def _phase1_close(self) -> None:
+        # Phase 2 never reads the scratch: release it now, not at close().
+        # Pool workers keep their memoized mapping until the pool dies —
+        # unlinking under live mappings is safe on POSIX.
+        shm, self._scratch = self._scratch[0], None
+        self._release_segment(shm)
+
+    # -- Phase 2 -------------------------------------------------------
     def bind_phase2(self) -> None:
         job = self.job
-        m = int(job.assignments.shape[0])
-        self._assign_shm = self._create_segment(job.assignments.nbytes)
+        assign = self._create_segment(job.assignments.nbytes)
         self._assign_view = np.ndarray(
-            m, dtype=np.int32, buffer=self._assign_shm.buf
+            job.assignments.shape[0], dtype=np.int32, buffer=assign.buf
         )
         self._assign_view[:] = job.assignments
         for _ in range(job.n_workers):
             view = PartitionState.from_shared(
-                job.state.n_vertices, job.k, job.state.n_edges, job.alpha,
-                track_dirty=True, packed=job.state.packed,
+                job.state.n_vertices,
+                job.k,
+                job.state.n_edges,
+                job.alpha,
+                track_dirty=True,
+                packed=job.state.packed,
             )
             self.views.append(view)
             _LIVE_SEGMENTS.add(view.shm_name)
@@ -1158,49 +1050,25 @@ class _ProcessSession(RunnerSession):
         # so nothing O(|V|) is ever pickled per worker or per task.
         n = int(job.state.n_vertices)
         n_clusters = int(job.c2p.shape[0])
-        self._phase1_shm = self._create_segment(8 * (2 * n + 2 * n_clusters))
-        arena = _BufferArena(self._phase1_shm.buf)
-        arena(n, np.int64)[:] = job.v2c
-        arena(n_clusters, np.int64)[:] = job.c2p
-        arena(n_clusters, np.int64)[:] = job.volumes
-        arena(n, np.int64)[:] = job.degrees
+        phase1 = self._create_segment(8 * (2 * n + 2 * n_clusters))
+        arrays = (job.v2c, job.c2p, job.volumes, job.degrees)
+        for view, array in zip(_phase1_layout(phase1.buf, n, n_clusters), arrays):
+            view[:] = array
         self._phase2_ref = (
-            self._assign_shm.name,
+            (assign.name, phase1.name),
             tuple(view.shm_name for view in self.views),
-            self._phase1_shm.name,
             n,
             n_clusters,
             bool(job.state.packed),
         )
 
-    def run_pass(self, pass_name: str) -> tuple[int, int]:
-        if pass_name not in PASS_METHODS:
-            raise ConfigurationError(f"unknown pass {pass_name!r}")
-        job = self.job
-        position = [int(job.shard_bounds[w]) for w in range(job.n_workers)]
-        stop = [int(job.shard_bounds[w + 1]) for w in range(job.n_workers)]
-        total = 0
-        syncs = 0
-        while True:
-            tasks = _sweep_schedule(
-                position, stop, job.sync_interval, pass_name
-            )
-            if not tasks:
-                break
-            handles = [
-                (task[0], self._pool.apply_async(
-                    _process_worker_task, (task + (self._phase2_ref,),)
-                ))
-                for task in tasks
-            ]
-            for out, cost_delta in self._collect(handles, pass_name):
-                total += out
-                _merge_cost(job.cost, cost_delta)
-            syncs += 1
-            rows = merge_barrier(job.state, self.views)
-            self.barrier_rows += rows
-            self.barrier_full_rows += job.state.n_vertices
-        return total, syncs
+    def _phase2_windows(self, pass_name, sweep):
+        ref = self._phase2_ref
+        tasks = [("phase2", w, start, stop, ref, pass_name) for w, start, stop in sweep]
+        return self._results(pass_name, tasks)
+
+    def _barrier(self, pass_name):
+        return merge_barrier(self.job.state, self.views)
 
     def finalize(self) -> None:
         # The barrier already synchronized the global state after the
@@ -1215,18 +1083,8 @@ class _ProcessSession(RunnerSession):
             pool, self._pool = self._pool, None
             self._shutdown_pool(pool)
         self._assign_view = None
-        for shm in (
-            self._assign_shm,
-            self._stream_shm,
-            self._cluster_shm,
-            self._phase1_shm,
-        ):
-            if shm is not None:
-                self._release_segment(shm)
-        self._assign_shm = None
-        self._stream_shm = None
-        self._cluster_shm = None
-        self._phase1_shm = None
+        for shm in list(self._segments):
+            self._release_segment(shm)
         views, self.views = self.views, []
         for view in views:
             _LIVE_SEGMENTS.discard(view.shm_name)
@@ -1310,9 +1168,7 @@ def make_runner(
         )
     cls = RUNNERS[spec]
     if cls is ProcessRunner:
-        return ProcessRunner(
-            start_method=start_method, task_timeout=task_timeout
-        )
+        return ProcessRunner(start_method=start_method, task_timeout=task_timeout)
     if cls.kind == "distributed":
         return cls(
             workers=workers,

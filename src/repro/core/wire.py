@@ -18,7 +18,7 @@ Frame layout (network byte order)::
 
 ``magic`` is ``b"2PSW"`` (2PS-L Wire).  ``crc32`` covers the payload
 bytes only; header corruption is caught by the magic check.  ``flags``
-and ``reserved`` are zero in :data:`WIRE_VERSION` 1 and ignored on
+and ``reserved`` are zero in :data:`WIRE_VERSION` 2 and ignored on
 receipt, so they are available to future versions without a frame-format
 break.
 
@@ -50,16 +50,18 @@ from repro.errors import WireError
 
 #: Protocol version spoken by this build; bumped on any frame or payload
 #: format break.  Negotiated by the HELLO handshake.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 MAGIC = b"2PSW"
 
 _HEADER = struct.Struct("!4sBBHII")
 HEADER_BYTES = _HEADER.size
 
-#: Hard ceiling on one frame's payload; a corrupt length field must not
-#: make the receiver try to allocate petabytes.
-MAX_PAYLOAD_BYTES = 1 << 32
+#: Hard ceiling on one frame's payload (2 GiB), below the u32 length
+#: field's range: ``send`` refuses a larger payload before writing
+#: anything, and ``recv`` rejects a larger (corrupt) length before
+#: allocating.
+MAX_PAYLOAD_BYTES = 1 << 31
 
 # ---------------------------------------------------------------------
 # message types
@@ -70,10 +72,9 @@ MSG_ERROR = 3  #: {"message": str} — remote failure, surfaced typed
 MSG_JOB = 4  #: session parameters + stream spec
 MSG_DEGREE = 5  #: Phase-1 degree window {"start", "stop"}
 MSG_DEGREE_RESULT = 6  #: {"degrees": int64[n]}
-MSG_PHASE1_INIT = 7  #: {"degrees", "cap", "single"}
-MSG_CLUSTER = 8  #: clustering window (+ merged v2c/volumes when sharded)
-MSG_CLUSTER_RESULT = 9  #: {"cost"} (+ "v2c"/"volumes" export when sharded)
-MSG_CLUSTER_FINISH = 10  #: drain the single-worker live clustering state
+MSG_PHASE1_INIT = 7  #: {"degrees", "cap"}
+MSG_CLUSTER = 8  #: clustering window {"start", "stop", "v2c", "volumes"}
+MSG_CLUSTER_RESULT = 9  #: the window's export {"v2c", "volumes", "cost"}
 MSG_BIND = 11  #: Phase-2 bind: phase-1 arrays + state geometry
 MSG_WINDOW = 12  #: Phase-2 sync window {"pass", "start", "stop"}
 MSG_WINDOW_RESULT = 13  #: assignments + dirty replica-row delta
@@ -247,6 +248,11 @@ class Connection:
     # -- sending -------------------------------------------------------
     def send(self, msg_type: int, fields: dict | None = None) -> int:
         payload = encode_payload(fields)
+        if len(payload) > MAX_PAYLOAD_BYTES:
+            raise WireError(
+                f"payload of {len(payload)} bytes to {self.label} exceeds "
+                f"the {MAX_PAYLOAD_BYTES}-byte frame limit"
+            )
         header = _HEADER.pack(
             MAGIC, msg_type, 0, 0, len(payload), zlib.crc32(payload)
         )
@@ -293,7 +299,7 @@ class Connection:
             raise WireError(
                 f"bad frame magic from {self.label}: {magic!r}"
             )
-        if length > MAX_PAYLOAD_BYTES:  # pragma: no cover - corrupt len
+        if length > MAX_PAYLOAD_BYTES:
             raise WireError(
                 f"oversized frame from {self.label}: {length} bytes"
             )

@@ -151,33 +151,30 @@ downstream pass):
   ordered worker sequence** — deltas are mutually independent, so any
   grouping that preserves worker order gives the same result — but **not
   commutative**: reordering workers changes both the conflict winners and
-  the fresh-id remap.  Every runner therefore merges in ascending worker
-  index; a backend (or runner) that merges in any other order breaks the
-  ``ProcessRunner == SimulatedRunner`` contract.
+  the fresh-id remap.  The one schedule driver of :mod:`repro.core.runners`
+  (whose equivalence and single-worker contract this fold serves) merges
+  in ascending worker index for every runner.
 - ``clustering_load(v2c, volumes, degrees)`` — the inverse of
   ``clustering_export``: an independent backend-native state from
   exported arrays, used to hand each worker the stale snapshot before a
-  window.  ``load(export(st))`` must round-trip exactly.
+  window.  ``load(export(st))`` must round-trip exactly: at
+  ``n_workers=1`` the lone worker's export is its next window's
+  snapshot, unmerged, and that is what keeps it bit-exact with the
+  sequential pass.
 
 ``tests/test_kernels.py`` (``TestPhase1MergeOps``) pins the twins against
 each other on randomized barrier scenarios; the randomized differential
 harness (``tests/differential.py``) pins the full pipeline across
 runners, backends and seeds.
 
-The distributed runner (``repro.core.distributed``) rides these exact
-ops over its wire protocol: workers ship ``clustering_export`` payloads
-and partial degree vectors as typed wire frames, and the coordinator
-folds them with the same ``merge_phase1_degrees`` /
-``merge_phase1_clustering`` calls in the same ascending-worker order —
-so the ordered-fold contract above is also the wire contract.  Phase-2
-delta barriers likewise reuse the shared-memory merge semantics: the
-socket path (``extract_replica_delta`` -> frames ->
-``merge_replica_wire_deltas`` -> ``apply_replica_refresh``) is
-property-pinned bit-exact against in-place ``merge_replica_deltas``
-(``tests/test_state.py``), which is what lets ``DistributedRunner``
-join the ``SimulatedRunner == ProcessRunner`` equality class without
-any backend changes.  Backends never see sockets; a backend correct
-under this contract is distributed-correct for free.
+The distributed runner rides these exact ops too: its socket workers
+ship ``clustering_export`` payloads and partial degree vectors as wire
+frames to the same driver, and its Phase-2 barrier recodes the
+shared-memory merge (``extract_replica_delta`` -> frames ->
+``merge_replica_wire_deltas`` -> ``apply_replica_refresh``, pinned
+against ``merge_replica_deltas`` in ``tests/test_state.py``).  Backends
+never see sockets; a backend correct under this contract is
+distributed-correct for free.
 
 Packed replica rows (out-of-core states)
 ----------------------------------------

@@ -197,6 +197,39 @@ class TestFraming:
         left.close()
         right.close()
 
+    def test_payload_limit_fits_the_length_field(self):
+        # Below the u32 range, so the recv guard can actually fire.
+        assert wire.MAX_PAYLOAD_BYTES < (1 << 32) - 1
+
+    def test_oversized_send_is_typed_and_writes_nothing(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_PAYLOAD_BYTES", 64)
+        left, right = _pair()
+        try:
+            with pytest.raises(WireError, match="frame limit"):
+                left.send(wire.MSG_OK, {"a": np.zeros(64, dtype=np.int64)})
+            assert left.bytes_sent == 0
+            left.send(wire.MSG_OK, {"x": 1})  # the stream is still framed
+            assert right.recv() == (wire.MSG_OK, {"x": 1})
+        finally:
+            left.close()
+            right.close()
+
+    def test_oversized_recv_header_is_typed(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_PAYLOAD_BYTES", 64)
+        left, right = _pair()
+        try:
+            # A forged header announcing 65 bytes; no payload follows, so
+            # a receiver that tried to read it would block, not raise.
+            left.sock.sendall(
+                struct.pack("!4sBBHII", wire.MAGIC, wire.MSG_OK, 0, 0, 65, 0)
+            )
+            right.settimeout(5.0)
+            with pytest.raises(WireError, match="oversized frame"):
+                right.recv()
+        finally:
+            left.close()
+            right.close()
+
 
 # ---------------------------------------------------------------------
 # handshake / version negotiation

@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 from repro.core import ParallelTwoPhase, ProcessRunner, TwoPhasePartitioner
 from repro.core import runners as runners_module
-from repro.core.runners import live_shared_segments
+from repro.core.runners import live_shared_segments, sweep_windows
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph import Graph
 from repro.graph.formats import write_binary_edge_list
@@ -335,6 +335,95 @@ class TestRunnerMatrix:
             ProcessRunner(start_method="no-such-method")
         with pytest.raises(ConfigurationError):
             ProcessRunner(task_timeout=0.0)
+
+
+class TestScheduleBoundaries:
+    """Edge cases of the one sync-window driver, through all four runners.
+
+    Every case runs ``parallel_phase1=True``: ``simulated``, ``process``
+    and ``distributed`` must agree on the full final state, and
+    ``serial`` must equal the sequential ``TwoPhasePartitioner``.
+    """
+
+    @SLOW
+    @given(
+        shard_sizes=st.lists(
+            st.integers(min_value=0, max_value=9), min_size=1, max_size=6
+        ),
+        sync_interval=st.integers(min_value=1, max_value=12),
+    )
+    def test_sweep_windows_tile_the_stream(self, shard_sizes, sync_interval):
+        bounds = np.concatenate([[0], np.cumsum(shard_sizes)]).astype(np.int64)
+        covered = []
+        for sweep in sweep_windows(bounds, sync_interval):
+            workers = [w for w, _, _ in sweep]
+            assert sweep, "a sweep with no window"
+            assert workers == sorted(set(workers)), "not ascending/unique"
+            for w, start, stop in sweep:
+                assert shard_sizes[w] > 0, "an empty shard got a window"
+                assert bounds[w] <= start < stop <= bounds[w + 1]
+                assert stop - start <= sync_interval
+                covered.extend(range(start, stop))
+        assert sorted(covered) == list(range(int(bounds[-1])))
+
+    @pytest.mark.parametrize("source", ["memory", "file"])
+    @pytest.mark.parametrize("mode", ["linear", "hdrf"])
+    @pytest.mark.parametrize(
+        "edges, n_workers, sync_interval",
+        [
+            # More workers than edges: some shards are empty.
+            ([[0, 1], [1, 2], [2, 0]], 5, 1),
+            # A sync interval larger than any shard: one sweep per pass.
+            ([[i % 7, (3 * i + 1) % 11] for i in range(40)], 2, 10**6),
+        ],
+        ids=["workers-exceed-edges", "interval-exceeds-shard"],
+    )
+    def test_runners_agree(
+        self, tmp_path, source, mode, edges, n_workers, sync_interval
+    ):
+        graph = Graph(np.array(edges), int(np.max(edges)) + 1)
+        path = tmp_path / "g.bin"
+        write_binary_edge_list(graph, path)
+
+        def stream():
+            if source == "file":
+                return FileEdgeStream(path, n_vertices=graph.n_vertices)
+            return InMemoryEdgeStream(graph)
+
+        def run(runner):
+            return ParallelTwoPhase(
+                n_workers=n_workers,
+                sync_interval=sync_interval,
+                mode=mode,
+                runner=runner,
+                parallel_phase1=True,
+                start_method="fork" if HAS_FORK else None,
+            ).partition(stream(), 2, chunk_size=3)
+
+        simulated = run("simulated")
+        for runner in ("process", "distributed"):
+            other = run(runner)
+            assert_bit_exact(simulated, other)
+            for key in ("syncs", "phase1_syncs", "n_clusters"):
+                assert simulated.extras[key] == other.extras[key], key
+        seq = TwoPhasePartitioner(mode=mode).partition(stream(), 2, chunk_size=3)
+        assert_bit_exact(seq, run("serial"))
+        assert not live_shared_segments()
+
+    @pytest.mark.parametrize(
+        "runner", ["serial", "simulated", "process", "distributed"]
+    )
+    def test_k1_and_empty_stream_are_typed_errors(self, runner):
+        partitioner = ParallelTwoPhase(
+            n_workers=2, sync_interval=4, runner=runner, parallel_phase1=True
+        )
+        graph = Graph(np.array([[0, 1], [1, 2]]), 3)
+        with pytest.raises(PartitioningError, match="k must be"):
+            partitioner.partition(graph, 1)
+        empty = InMemoryEdgeStream(Graph(np.zeros((0, 2), dtype=np.int64), 3))
+        with pytest.raises(PartitioningError, match="empty edge stream"):
+            partitioner.partition(empty, 4)
+        assert not live_shared_segments()
 
 
 class _ExplodingBackend(NumpyBackend):
