@@ -19,16 +19,20 @@ The whole pass dispatches through the kernel registry
 ``PythonBackend.hdrf_choose`` (shared with the 2PS-HDRF remaining pass,
 so the score arithmetic can never diverge between the baseline and the
 two-phase variant), the ``numpy`` backend runs the same decisions through
-the speculate-verify-repair block machinery, and the ``numba`` backends
-run a compiled per-edge argmax — all bit-exact by the backend contract.
+its exact scalar engine over per-chunk partial degrees, and the ``numba``
+backend runs a compiled per-edge argmax — all bit-exact by the backend
+contract.
 One simulated "score evaluation" per partition per edge is charged to the
 cost counter, preserving the O(|E| * k) operation count.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.kernels import get_backend
 from repro.metrics.memory import measured_state_bytes
 from repro.metrics.runtime import CostCounter, PhaseTimer
@@ -65,6 +69,8 @@ class HDRF(EdgePartitioner):
         backend: str | None = None,
         chunk_size: int | str | None = None,
     ) -> None:
+        if not math.isfinite(lam):
+            raise ConfigurationError(f"HDRF lambda must be finite, got {lam}")
         self.lam = float(lam)
         get_backend(backend)  # fail fast on unknown names
         self.backend = backend

@@ -145,7 +145,9 @@ class ParallelTwoPhase(EdgePartitioner):
             raise ConfigurationError(
                 f"sync_interval must be >= 1, got {sync_interval}"
             )
-        check_two_phase_options(mode, volume_cap_factor, chunk_size, tune, backend)
+        check_two_phase_options(
+            mode, volume_cap_factor, hdrf_lambda, chunk_size, tune, backend
+        )
         self.n_workers = int(n_workers)
         self.sync_interval = int(sync_interval)
         self.clustering_passes = int(clustering_passes)

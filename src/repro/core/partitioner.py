@@ -30,6 +30,8 @@ kernels — both bit-exact with each other.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.clustering import ClusteringResult, default_volume_cap
@@ -47,10 +49,14 @@ from repro.partitioning.base import (
 from repro.partitioning.state import PartitionState
 
 
-def check_two_phase_options(mode, volume_cap_factor, chunk_size, tune, backend):
+def check_two_phase_options(
+    mode, volume_cap_factor, hdrf_lambda, chunk_size, tune, backend
+):
     """Constructor validation shared by both 2PS-L partitioners."""
     if mode not in ("linear", "hdrf"):
         raise ConfigurationError(f"mode must be 'linear' or 'hdrf', got {mode!r}")
+    if not math.isfinite(hdrf_lambda):
+        raise ConfigurationError(f"hdrf_lambda must be finite, got {hdrf_lambda}")
     if volume_cap_factor <= 0:
         raise ConfigurationError(
             f"volume_cap_factor must be positive, got {volume_cap_factor}"
@@ -247,7 +253,9 @@ class TwoPhasePartitioner(EdgePartitioner):
         packed_state: bool = False,
         tune: str | None = None,
     ) -> None:
-        check_two_phase_options(mode, volume_cap_factor, chunk_size, tune, backend)
+        check_two_phase_options(
+            mode, volume_cap_factor, hdrf_lambda, chunk_size, tune, backend
+        )
         self.clustering_passes = int(clustering_passes)
         self.volume_cap_factor = float(volume_cap_factor)
         self.mode = mode

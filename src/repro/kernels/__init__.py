@@ -12,20 +12,17 @@ or as vectorized numpy array code:
   truth that every other backend is property-tested against.
 - ``numpy`` — the default backend.  Chunk-vectorized kernels: per-chunk
   ``np.bincount`` for degrees, gather/mask/scatter for the pre-partition
-  pass, vectorized splitmix64 for the stateless baselines, and
-  conflict-free sub-batching for the stateful clustering and scoring
-  passes (see below).
+  pass, vectorized splitmix64 for the stateless baselines, conflict-free
+  sub-batching for the 2PS-L scoring pass and an exact scalar engine for
+  the HDRF passes (see below).  Phase-1 clustering is the reference
+  kernel, inherited.
 - ``numba`` — an *optional* compiled backend
   (:mod:`repro.kernels.numba_backend`): the numpy chunk orchestration
-  with the serial conflict loops (Phase-1 clustering, the 2PS-L scoring
-  pass, the 2PS-HDRF argmax, the classic HDRF baseline) replaced by
+  with the serial loops (Phase-1 clustering, the 2PS-L scoring pass, the
+  2PS-HDRF argmax, the classic HDRF baseline) replaced by
   ``numba.njit``-compiled per-edge kernels.  Registered only when the
   numba import succeeds; see *Optional backends* below for the fallback
   contract.
-- ``numba-parallel`` — ``numba`` plus ``numba.prange`` execution of the
-  conflict-free Phase-1 migration sub-batches, registered and missing
-  together with ``numba``.  See *Parallel sub-batch determinism* below
-  for the rules that keep it bit-exact.
 
 Backend contract
 ----------------
@@ -42,28 +39,29 @@ the edge count).
 
 The tricky part of the contract is the *stateful* passes, where an edge's
 decision depends on state mutated by earlier edges.  The ``numpy`` backend
-preserves serial semantics with two techniques:
+batches only where serial semantics provably survive, and runs every other
+edge serially, in stream order:
 
-- *Conflict-free sub-batching* (Phase-1 clustering, 2PS-L scoring): an
-  edge is migrated/scored vectorized only when no earlier edge of its
-  block can have changed the state it reads, so processing it out of
-  order is provably equivalent; every other edge falls through to the
-  serial reference kernel, in stream order.  Phase-1 migration checks
-  vertices *and* clusters.  2PS-L scoring checks at (vertex, partition)
-  cell granularity: an edge reads only its four candidate cells
-  ``(u,p1) (u,p2) (v,p1) (v,p2)``, replica bits are monotone (0 -> 1
-  only), so a cell set at block entry can never change, and the edge
-  conflicts only if one of its cells *unset* at entry is also an unset
-  cell of an earlier block edge.
-- *Speculate-verify-repair* (the 2PS-HDRF remaining pass, where every
-  edge mutates the partition sizes every other edge's balance term
-  reads, so no conflict-free subset exists): block decisions are guessed
-  vectorized, each edge's exact serial-order inputs are reconstructed
-  vectorized (prefix counts for sizes, a segmented prefix-OR for replica
-  rows), and re-scoring confirms a prefix of provably-serial decisions;
-  the unverified tail runs serially.  The serial path itself uses an
-  exact scalar engine (``_HdrfScalarEngine``) that collapses the k-way
-  argmax to at most four candidates.
+- *Conflict-free sub-batching* (2PS-L scoring): an edge is scored
+  vectorized only when no earlier edge of its block can have changed the
+  state it reads, so processing it out of order is provably equivalent.
+  The check works at (vertex, partition) cell granularity: an edge reads
+  only its four candidate cells ``(u,p1) (u,p2) (v,p1) (v,p2)``, replica
+  bits are monotone (0 -> 1 only), so a cell set at block entry can never
+  change, and the edge conflicts only if one of its cells *unset* at
+  entry is also an unset cell of an earlier block edge.
+- *Exact scalar engine* (the 2PS-HDRF remaining pass and the classic HDRF
+  baseline, where every edge mutates the partition sizes every other
+  edge's balance term reads, so no conflict-free subset exists): the
+  per-chunk ``theta`` is vectorized, and each decision runs through
+  ``_HdrfScalarEngine``, which collapses the k-way argmax to at most four
+  exactly-scored candidates.  The collapse relies on two strict float
+  inequalities that hold only for a finite range of the balance weight
+  ``lambda``; outside it the passes run the reference kernel (see the
+  engine's *Exactness range*).
+- *Phase-1 clustering* has no batched path: cluster creation is serial
+  and hub-heavy blocks collide on vertices and clusters, so the numpy
+  backend inherits the reference list kernel.
 
 Cap overflow makes decisions order-dependent through the masking /
 hash / least-loaded fallback chains, and the hash / least-loaded
@@ -74,40 +72,9 @@ count, per partition and in stream order, the earlier edges of the
 block (of the chunk, in the pre-partition pass) that could be assigned
 there (the one target of a pre-partitioned edge, both candidates of a
 scored edge) — an upper bound on that partition's size at every edge —
-and cut at the first edge where the bound could reach the cap.  Edges before the cut are batched (subject to the
-conflict filter above); edges from the cut on run serially, in stream
-order.  The 2PS-HDRF pass, whose edges name all ``k`` partitions, runs
-the whole block serially whenever ``capacity - max(sizes)`` is smaller
-than the block length.
-
-Parallel sub-batch determinism
-------------------------------
-A backend may execute a conflict-free sub-batch with *thread-level*
-parallelism (the ``numba-parallel`` backend runs the Phase-1 hook
-``_migrate_batch`` under ``numba.prange``) only under these rules,
-which make the schedule unobservable:
-
-- every parallel row must read and write state no other row of the
-  region touches — exactly the conflict-freedom invariant the sub-batch
-  filter already establishes (block-unique vertices *and* block-private
-  clusters for Phase-1 migration);
-- any cross-row aggregate must be an **order-insensitive reduction**
-  (integer sums, ``np.bincount`` over the per-row outputs) or must be
-  serialized outside the parallel region — float accumulation across
-  rows is *not* order-insensitive and is therefore banned inside a
-  parallel region;
-- when the parallel runtime is absent the same kernel body must run
-  serially (``prange`` degrades to ``range``), so the fallback is
-  deterministic by construction, not by luck.
-
-The 2PS-L scoring batch has no such hook: it is a handful of array
-operations over the cells gathered at block entry, applied by the
-block's single scatter, so there is no per-row loop to parallelize.
-
-Under these rules parallel execution is bit-identical to the serial
-backends for every schedule and thread count;
-``tests/test_numba_backend.py`` pins ``numba-parallel`` against
-``numba`` and the reference.
+and cut at the first edge where the bound could reach the cap.  Edges
+before the cut are batched (subject to the conflict filter above);
+edges from the cut on run serially, in stream order.
 
 Auto-tuning determinism
 -----------------------
@@ -231,7 +198,8 @@ Writing a backend
      reference backend over random multigraphs and hub-heavy R-MAT,
      with ``chunk_size`` through degenerate values (1, primes, larger
      than ``|E|``), ``alpha`` down to 1.0 (cap guard) and
-     ``hdrf_lambda`` through 0 (degenerate balance term);
+     ``hdrf_lambda`` through 0 (degenerate balance term) and out to
+     the ends of the HDRF engine's exactness range;
    - ``tests/test_parallel_kernels.py`` — the same kernels dispatched
      through the sharded parallel path (stale state views, sync-window
      streams, barrier merges), plus ``FileEdgeStream`` vs
@@ -246,7 +214,7 @@ Writing a backend
 
 The ``numba`` backend follows exactly this recipe: it keeps the numpy
 chunk orchestration (and inherits the merge ops unchanged) and replaces
-only the serial conflict kernels with compiled per-edge loops that are
+only the serial kernels with compiled per-edge loops that are
 line-for-line transliterations of the reference bodies.
 
 Optional backends
@@ -382,16 +350,13 @@ def _register_optional_backends() -> None:
 
     if numba_backend.numba_available():
         register_backend("numba", numba_backend.NumbaBackend)
-        register_backend("numba-parallel", numba_backend.NumbaParallelBackend)
     else:
-        reason = (
+        _REGISTRY.pop("numba", None)
+        _INSTANCES.pop("numba", None)
+        _MISSING["numba"] = (
             numba_backend.unavailable_reason() or "numba is not installed"
         )
-        for name in ("numba", "numba-parallel"):
-            _REGISTRY.pop(name, None)
-            _INSTANCES.pop(name, None)
-            _MISSING[name] = reason
-            _FALLBACK_WARNED.discard(name)
+        _FALLBACK_WARNED.discard("numba")
 
 
 register_backend("python", PythonBackend)

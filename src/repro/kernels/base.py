@@ -21,8 +21,8 @@ class Int64Buffer:
     """Append-friendly int64 array (amortized O(1) appends).
 
     Phase-1 clustering allocates cluster ids sequentially; this buffer
-    gives the numpy backend list-like appends while keeping the contents
-    gatherable as a contiguous array view.
+    gives the array-state ``numba`` backend list-like appends while
+    keeping the contents gatherable as a contiguous array view.
     """
 
     __slots__ = ("_buf", "_n")
@@ -96,10 +96,11 @@ class Int64Buffer:
 class ClusteringState:
     """Mutable Phase-1 state; concrete field types are backend-owned.
 
-    The ``python`` backend stores plain lists (fast scalar indexing), the
-    ``numpy`` backend stores arrays / :class:`Int64Buffer`.  Only the
-    owning backend may touch the fields; everyone else goes through
-    :meth:`KernelBackend.clustering_export`.
+    The ``python`` backend (and the ``numpy`` backend, which inherits its
+    clustering) stores plain lists (fast scalar indexing); the ``numba``
+    backend stores arrays / :class:`Int64Buffer`, which its compiled
+    loops index directly.  Only the owning backend may touch the fields;
+    everyone else goes through :meth:`KernelBackend.clustering_export`.
     """
 
     v2c: object

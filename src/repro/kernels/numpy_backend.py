@@ -1,82 +1,57 @@
 """The ``numpy`` backend: chunk-vectorized kernels (the default).
 
 Embarrassingly-batchable passes (degrees, pre-partitioning, stateless
-hashing) are fully vectorized.  The stateful passes (Phase-1 clustering
-and the remaining-edge scoring pass) use *conflict-free sub-batching*: the
-edges of a block whose inputs no earlier edge of the block can have
-changed are processed as one array operation, everything else falls
-through to the per-edge serial kernel in stream order.  The result is
-bit-exact with the ``python`` reference backend — see the package
-docstring for the argument and ``tests/test_kernels.py`` for the
-enforcement.
+hashing, the Phase-1 barrier merges) are fully vectorized.  The result
+of every pass is bit-exact with the ``python`` reference backend — see
+the package docstring for the contract and ``tests/test_kernels.py`` for
+the enforcement.  The stateful passes split three ways:
 
-Why the sub-batching is exact, in short:
-
-- *Scoring pass* (2PS-L, Algorithm 2): an edge reads and writes only its
-  four candidate cells ``(u,p1) (u,p2) (v,p1) (v,p2)`` of the replica
-  matrix, plus the partition sizes (degrees and volumes are frozen).
-  Replica bits are monotone — they only go 0 -> 1 — so a cell set at
-  block entry reads set for every edge of the block, and only a cell
-  *unset* at entry can change, written by an edge that names it as a
-  candidate.  An edge none of whose unset cells is an unset cell of an
-  earlier block edge therefore reads exactly its entry bits, and is
-  scored vectorized against them; a later edge that shares one of its
-  unset cells is itself serial and sees its write.  Sizes feed only the
-  hard-cap check.  Counting, per partition, the earlier block edges that
-  name it as a candidate bounds its size at every edge, and the block is
-  cut at the first edge where that bound could reach the cap: before the
-  cut no edge can take the hash/least-loaded fallback (which writes
-  cells outside the candidate set and depends on exact sizes), so the
-  batched edges commute with the serial ones; from the cut on, every
-  edge runs in stream order.
-- *Clustering pass*: migrations also touch the two clusters' volumes, and
-  a serially-processed edge can only ever touch clusters reachable from
-  the pre-chunk cluster ids of chunk edges (a migration moves a vertex
-  between the two clusters of its edge).  So an edge is batched only when
-  its endpoints are chunk-unique *and* its two pre-chunk cluster ids
-  appear nowhere else in the chunk.  New-cluster creation stays serial so
-  cluster ids are allocated in exactly the reference order.
-- *2PS-HDRF remaining pass*: every edge mutates the partition sizes that
-  every other edge's balance term reads, so no conflict-free subset
-  exists at all; this pass uses speculate-verify-repair blocks plus an
-  exact scalar engine instead (see ``_hdrf_block`` and
-  ``_HdrfScalarEngine``).
+- *Phase-1 clustering* is inherited unchanged from the reference
+  backend: list state and the per-edge Algorithm-1 loop.  Cluster
+  creation is inherently serial, and on hub-heavy streams a block's
+  edges collide on vertices *and* clusters, so no conflict-free share
+  worth batching is left; the plain list loop is the fastest exact
+  interpreted kernel.
+- *2PS-L scoring pass* (Algorithm 2): conflict-free sub-batching.  An
+  edge reads and writes only its four candidate cells ``(u,p1) (u,p2)
+  (v,p1) (v,p2)`` of the replica matrix, plus the partition sizes
+  (degrees and volumes are frozen).  Replica bits are monotone — they
+  only go 0 -> 1 — so a cell set at block entry reads set for every edge
+  of the block, and only a cell *unset* at entry can change, written by
+  an edge that names it as a candidate.  An edge none of whose unset
+  cells is an unset cell of an earlier block edge therefore reads
+  exactly its entry bits, and is scored vectorized against them; a later
+  edge that shares one of its unset cells is itself serial and sees its
+  write.  Sizes feed only the hard-cap check.  Counting, per partition,
+  the earlier block edges that name it as a candidate bounds its size at
+  every edge, and the block is cut at the first edge where that bound
+  could reach the cap: before the cut no edge can take the
+  hash/least-loaded fallback (which writes cells outside the candidate
+  set and depends on exact sizes), so the batched edges commute with the
+  serial ones; from the cut on, every edge runs in stream order.
+- *HDRF passes* (the 2PS-HDRF remaining pass and the classic baseline):
+  every edge mutates the partition sizes that every other edge's balance
+  term reads, so no conflict-free subset exists at all.  Each chunk's
+  ``theta`` is computed vectorized, and the decisions run edge by edge
+  through the exact scalar engine ``_HdrfScalarEngine``.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 
 import numpy as np
 
-from repro.kernels.base import ClusteringState, Int64Buffer, TwoPhaseContext
+from repro.kernels.base import TwoPhaseContext
 from repro.kernels.python_backend import PythonBackend
 
-#: Internal sub-batch size for the *stateful* passes.  Conflict detection
-#: happens within one block, so smaller blocks mean fewer vertex/cluster
-#: collisions and a larger vectorized share — but more per-block numpy
-#: overhead.  512 won a sweep on a 1M-edge R-MAT (hubs collide at any
-#: block size; the long tail stops colliding around this scale).  Stream
-#: chunk boundaries are semantically irrelevant, so re-blocking a chunk
-#: internally cannot change results.
+#: Internal sub-batch size of the 2PS-L scoring pass.  Conflict detection
+#: happens within one block, so smaller blocks mean fewer cell collisions
+#: and a larger vectorized share — but more per-block numpy overhead.
+#: Stream chunk boundaries are semantically irrelevant, so re-blocking a
+#: chunk internally cannot change results.
 STATEFUL_BLOCK = 512
-
-#: Clustering demotes to the list kernel when the serial share of the
-#: last this-many blocks exceeds 40% (see ``clustering_true_pass``).
-_DEMOTE_WINDOW_BLOCKS = 4
-
-#: Sub-batch size of the speculative 2PS-HDRF remaining kernel.  Smaller
-#: than STATEFUL_BLOCK: every edge of this pass mutates the partition
-#: sizes that feed the balance term, so convergence of the speculation
-#: (see ``_hdrf_block``) degrades with block length.
-HDRF_BLOCK = 256
-
-#: Speculation rounds before ``_hdrf_block`` gives the unverified tail to
-#: the serial scalar engine.  Each round confirms at least one more edge,
-#: so this bounds the vectorized work per block; the rolling demotion in
-#: ``remaining_pass_hdrf`` turns speculation off entirely when it keeps
-#: failing to converge.
-HDRF_SPECULATION_ROUNDS = 6
 
 
 def _group_rank(values: np.ndarray) -> np.ndarray:
@@ -94,17 +69,8 @@ def _group_rank(values: np.ndarray) -> np.ndarray:
 
 
 class NumpyBackend(PythonBackend):
-    """Vectorized kernels (see module docstring for the batching rules).
-
-    The 2PS-HDRF remaining pass is the hardest to batch — every edge
-    mutates the partition sizes that feed every other edge's balance
-    term — and uses speculation instead of conflict filtering: decisions
-    for a whole block are guessed vectorized, then *verified* by exactly
-    reconstructing each edge's serial-order inputs (running sizes via a
-    prefix count, running replica bits via a segmented prefix-OR over
-    endpoint occurrences) and re-scoring; the first mismatching edge is
-    corrected and the tail re-speculated, so the accepted decisions are
-    provably the serial ones."""
+    """Vectorized kernels (see the module docstring for what is batched
+    and why the rest is exact)."""
 
     name = "numpy"
 
@@ -133,37 +99,6 @@ class NumpyBackend(PythonBackend):
             state.scatter_edges(u, v, parts)
             assignments[idx : idx + chunk.shape[0]] = parts
             idx += chunk.shape[0]
-
-    # ------------------------------------------------------------------
-    # Phase 1: streaming clustering
-    # ------------------------------------------------------------------
-    def clustering_init(self, degrees: np.ndarray) -> ClusteringState:
-        return ClusteringState(
-            v2c=np.full(len(degrees), -1, dtype=np.int64),
-            vol=Int64Buffer(),
-            deg=degrees.astype(np.int64, copy=True),
-        )
-
-    def clustering_export(self, st: ClusteringState):
-        # The state may be in array mode or (after a serial-heavy pass
-        # demoted it) in list mode.
-        if isinstance(st.v2c, list):
-            return (
-                np.asarray(st.v2c, dtype=np.int64),
-                np.asarray(st.vol, dtype=np.int64),
-                np.asarray(st.deg, dtype=np.int64),
-            )
-        return st.v2c, st.vol.view().copy(), st.deg
-
-    def clustering_load(self, v2c, volumes, degrees) -> ClusteringState:
-        # deg may alias the input (no copy): true-degree passes never
-        # write it, and loads happen once per sync window — see the
-        # base-class contract.
-        return ClusteringState(
-            v2c=np.array(v2c, dtype=np.int64, copy=True),
-            vol=Int64Buffer.from_array(np.asarray(volumes, dtype=np.int64)),
-            deg=np.asarray(degrees, dtype=np.int64),
-        )
 
     # ------------------------------------------------------------------
     # Phase-1 barrier merges (vectorized twins of the reference)
@@ -202,212 +137,6 @@ class NumpyBackend(PythonBackend):
             minlength=offset,
         ).astype(np.int64)
         return merged, vol
-
-    @staticmethod
-    def _promote_clustering_state(st: ClusteringState) -> None:
-        """List mode -> array mode (start of a vectorized pass)."""
-        if isinstance(st.v2c, list):
-            st.v2c = np.asarray(st.v2c, dtype=np.int64)
-            buf = Int64Buffer(max(len(st.vol), 1))
-            for value in st.vol:
-                buf.append(value)
-            st.vol = buf
-            st.deg = np.asarray(st.deg, dtype=np.int64)
-
-    @staticmethod
-    def _demote_clustering_state(st: ClusteringState) -> None:
-        """Array mode -> list mode (serial-dominated pass)."""
-        if not isinstance(st.v2c, list):
-            st.v2c = st.v2c.tolist()
-            st.vol = st.vol.view().tolist()
-            st.deg = st.deg.tolist()
-
-    def clustering_true_pass(self, stream, st, cap, cost) -> None:
-        """Sub-batched Algorithm-1 pass with adaptive serial fallback.
-
-        Each pass starts in vectorized block mode.  Blocks that provably
-        cannot mutate any state are skipped wholesale (the common case
-        when re-streaming an almost-converged clustering); otherwise the
-        conflict-free share is batched and the rest runs serially.  When
-        the running serial share shows the vectorization is not paying
-        for itself — hub-dominated streams collide on vertices *and*
-        clusters in nearly every block — the pass demotes the state to
-        plain lists and continues with the reference kernel, so the
-        numpy backend never loses to the ``python`` backend by more than
-        the detection overhead of a few leading blocks.
-        """
-        self._promote_clustering_state(st)
-        updates = 0
-        edges = 0
-        window_serial = 0
-        window_seen = 0
-        window_blocks = 0
-        vector_mode = True
-        for chunk in stream.chunks():
-            c = chunk.shape[0]
-            edges += c
-            start = 0
-            if vector_mode:
-                while start < c:
-                    blk = chunk[start : start + STATEFUL_BLOCK]
-                    start += blk.shape[0]
-                    upd, n_serial = self._cluster_block(st, blk, cap)
-                    updates += upd
-                    window_serial += n_serial
-                    window_seen += blk.shape[0]
-                    window_blocks += 1
-                    if window_blocks == _DEMOTE_WINDOW_BLOCKS:
-                        # Rolling decision: if the last few blocks were
-                        # serial-dominated, vectorization is not paying
-                        # for itself — demote mid-chunk and finish the
-                        # pass on the list kernel.  (The first pass over
-                        # a fresh clustering always demotes fast: cluster
-                        # creation is inherently serial.  Re-streaming
-                        # passes re-promote at pass start and typically
-                        # stay vectorized via immutable-block skips.)
-                        if window_serial > 0.4 * window_seen:
-                            self._demote_clustering_state(st)
-                            vector_mode = False
-                            break
-                        window_serial = 0
-                        window_seen = 0
-                        window_blocks = 0
-            if not vector_mode and start < c:
-                updates += self.true_degree_edges(
-                    st.v2c, st.vol, st.deg, chunk[start:].tolist(), cap
-                )
-        if cost is not None:
-            cost.cluster_updates += updates
-            cost.edges_streamed += edges
-
-    def _cluster_block(self, st, blk, cap) -> tuple[int, int]:
-        """One sub-batch of the true-degree clustering pass.
-
-        Returns ``(updates, serial_edge_count)``.  Vectorized classes, in
-        order of application:
-
-        - *Immutable blocks*: if, under pre-block state, no edge would
-          create a cluster or pass the migration checks, then no edge can
-          mutate anything — so runtime state equals pre-block state for
-          every edge and the whole block is one vectorized no-op.
-        - *Frozen no-ops*: an edge whose (pre-block) endpoint cluster
-          volume exceeds the cap can do nothing — an over-cap cluster can
-          neither gain nor lose members (both migration checks require
-          volumes within the cap), so its members are pinned for the rest
-          of the pass.  Needs no uniqueness condition because the outcome
-          is state-independent.
-        - *Same-cluster no-ops* with block-unique vertices.
-        - *Batched migrations*: block-unique vertices and block-private
-          clusters (counted over the edges that could actually mutate).
-        - Everything else: the serial reference kernel, in stream order.
-        """
-        v2c, vol, deg = st.v2c, st.vol, st.deg
-        u = blk[:, 0]
-        v = blk[:, 1]
-        cu = v2c[u]
-        cv = v2c[v]
-        assigned = (cu >= 0) & (cv >= 0)
-        vols = vol.view()
-        if bool(assigned.all()) and len(vol):
-            differs = cu != cv
-            if not differs.any():
-                return 0, 0
-            vol_u = vols[cu]
-            vol_v = vols[cv]
-            du = deg[u]
-            dv = deg[v]
-            ds = np.where((vol_u - du) <= (vol_v - dv), du, dv)
-            target = np.where((vol_u - du) <= (vol_v - dv), vol_v, vol_u)
-            could_migrate = (
-                differs
-                & (vol_u <= cap)
-                & (vol_v <= cap)
-                & (target + ds <= cap)
-            )
-            if not could_migrate.any():
-                return 0, 0  # immutable block: all edges are no-ops
-            frozen = (vol_u > cap) | (vol_v > cap)
-        elif len(vol) and cap != np.inf:
-            frozen = assigned & (
-                (vols[np.maximum(cu, 0)] > cap)
-                | (vols[np.maximum(cv, 0)] > cap)
-            )
-        else:
-            frozen = np.zeros(blk.shape[0], dtype=bool)
-        # Block-unique vertices: batched edges must own their state.
-        uniq, counts = np.unique(blk.ravel(), return_counts=True)
-        occ_u = counts[np.searchsorted(uniq, u)]
-        occ_v = counts[np.searchsorted(uniq, v)]
-        vert_unique = np.where(u == v, occ_u == 2, (occ_u == 1) & (occ_v == 1))
-        skip = frozen | (vert_unique & assigned & (cu == cv))
-        active = ~skip
-        if not active.any():
-            return 0, 0
-        au = u[active]
-        av = v[active]
-        acu = cu[active]
-        acv = cv[active]
-        # Cluster privacy over the active (possibly-mutating) edges only:
-        # guaranteed no-ops can never write, so they cannot leak their
-        # cluster ids into the block's reachable set.
-        act_c = np.concatenate([acu, acv])
-        c_uniq, c_counts = np.unique(act_c, return_counts=True)
-        cc_u = c_counts[np.searchsorted(c_uniq, acu)]
-        cc_v = c_counts[np.searchsorted(c_uniq, acv)]
-        mig = (
-            vert_unique[active]
-            & (acu >= 0)
-            & (acv >= 0)
-            & (acu != acv)
-            & (cc_u == 1)
-            & (cc_v == 1)
-        )
-        updates = 0
-        if mig.any():
-            updates += self._migrate_batch(
-                v2c, vol, deg, au[mig], av[mig], acu[mig], acv[mig], cap
-            )
-        serial = ~mig
-        n_serial = int(serial.sum())
-        if n_serial:
-            # The reference kernel runs unchanged over the array state:
-            # v2c/vol/deg share the same indexable protocol as lists.
-            updates += self.true_degree_edges(
-                v2c, vol, deg,
-                zip(au[serial].tolist(), av[serial].tolist()),
-                cap,
-            )
-        return updates, n_serial
-
-    @staticmethod
-    def _migrate_batch(v2c, vol, deg, u, v, cu, cv, cap) -> int:
-        """Vectorized Algorithm-1 migration over conflict-free edges."""
-        vols = vol.view()
-        vol_u = vols[cu]
-        vol_v = vols[cv]
-        du = deg[u]
-        dv = deg[v]
-        ok = (vol_u <= cap) & (vol_v <= cap)
-        small_u = (vol_u - du) <= (vol_v - dv)
-        vs = np.where(small_u, u, v)
-        cs = np.where(small_u, cu, cv)
-        cl = np.where(small_u, cv, cu)
-        ds = np.where(small_u, du, dv)
-        apply = ok & (vols[cl] + ds <= cap)
-        if not apply.any():
-            return 0
-        # Cluster ids are chunk-private, so the scatters are collision-free.
-        vols[cl[apply]] += ds[apply]
-        vols[cs[apply]] -= ds[apply]
-        v2c[vs[apply]] = cl[apply]
-        return int(apply.sum())
-
-    def clustering_partial_pass(self, stream, st, cap, cost) -> None:
-        """Hollocou ablation pass: on-the-fly degree updates couple every
-        edge, so there is no conflict-free batch to extract — demote to
-        list state and run the reference kernel."""
-        self._demote_clustering_state(st)
-        super().clustering_partial_pass(stream, st, cap, cost)
 
     # ------------------------------------------------------------------
     # Phase 2: 2PS-L partitioning passes
@@ -682,15 +411,14 @@ class NumpyBackend(PythonBackend):
         state.sizes[:] = sizes
 
     # ------------------------------------------------------------------
-    # 2PS-HDRF remaining pass: blocked speculation + scalar engine
+    # HDRF passes: vectorized theta, decisions through the scalar engine
     # ------------------------------------------------------------------
     def remaining_pass_hdrf(self, stream, ctx: TwoPhaseContext) -> None:
         from repro.core.scoring import HDRF_EPSILON
 
-        if ctx.hdrf_lambda <= 0.0:
-            # Degenerate balance weight: the scalar engine's complement
-            # shortcut (scores strictly ordered by partition size) needs
-            # lam > 0, so run the reference kernel outright.
+        if not _HdrfScalarEngine.exact(
+            ctx.hdrf_lambda, HDRF_EPSILON, ctx.state.sizes, stream.n_edges
+        ):
             super().remaining_pass_hdrf(stream, ctx)
             return
         v2c, c2p = ctx.v2c, ctx.c2p
@@ -701,9 +429,6 @@ class NumpyBackend(PythonBackend):
             # vectorized packing beats per-vertex lazy misses.  Short
             # sync-window dispatches (the parallel path) stay lazy.
             engine.pack_all()
-        speculate = True
-        win_edges = 0
-        win_batched = 0
         idx = 0
         n_rem = 0
         for chunk in stream.chunks():
@@ -720,256 +445,61 @@ class NumpyBackend(PythonBackend):
                 n_rem += nrem
                 ru = u[rem]
                 rv = v[rem]
-                positions = idx + np.flatnonzero(rem)
                 # theta is frozen in this pass (true degrees): vectorized
                 # once, bit-identical to the reference per-edge division.
                 theta = degrees[ru] / (degrees[ru] + degrees[rv])
-                for s in range(0, nrem, HDRF_BLOCK):
-                    e = s + HDRF_BLOCK
-                    batched = self._hdrf_block(
-                        ctx, engine, ru[s:e], rv[s:e], positions[s:e],
-                        theta[s:e], HDRF_EPSILON, speculate,
-                    )
-                    if speculate:
-                        win_edges += min(HDRF_BLOCK, nrem - s)
-                        win_batched += batched
-                        if win_edges >= 8 * HDRF_BLOCK:
-                            # Rolling decision, like the clustering
-                            # demotion: when speculation keeps failing to
-                            # verify (balance-dominated streams make the
-                            # decisions inherently serial), stop paying
-                            # for it and let the scalar engine carry.
-                            speculate = win_batched >= 0.25 * win_edges
-                            win_edges = 0
-                            win_batched = 0
+                ctx.assignments[idx + np.flatnonzero(rem)] = engine.run(
+                    ru, rv, theta
+                )
             idx += c
-        engine.flush()
         ctx.cost.score_evaluations += ctx.k * n_rem
         ctx.cost.edges_streamed += stream.n_edges
 
-    def _hdrf_block(
-        self, ctx, engine, bu, bv, positions, theta, eps, speculate
-    ) -> int:
-        """One sub-batch of the 2PS-HDRF remaining pass; returns the
-        number of edges decided by verified vectorized speculation.
-
-        Unlike the linear pass, *every* edge of this pass mutates state
-        every other edge reads (the balance term runs over the live
-        partition sizes), so there is no conflict-free subset to simply
-        extract.  Instead the block's decisions are *speculated*
-        vectorized — a k-way score matrix under pre-block state — and
-        then verified against an exact vectorized reconstruction of each
-        edge's serial-order inputs:
-
-        - running sizes before edge ``i`` = pre-block sizes + an
-          exclusive prefix count of the speculated decisions;
-        - running replica rows = pre-block rows OR-ed with the decisions
-          of earlier block edges sharing an endpoint (a segmented
-          exclusive prefix-OR over endpoint occurrences grouped by
-          vertex id).
-
-        Re-scoring under those inputs uses the exact float expressions
-        of the reference twin, so a row whose re-scored argmax equals
-        its speculated decision — with every row before it equally
-        confirmed — provably carries the serial decision (induction over
-        the prefix).  The first mismatching row is corrected (its inputs
-        were already exact) and the tail re-speculated; each round
-        verifies at least one more row, and after
-        ``HDRF_SPECULATION_ROUNDS`` the unverified tail goes to the
-        serial scalar engine.  Cap reachability demotes the whole block
-        to serial upfront.
-        """
-        b = bu.shape[0]
-        if not speculate:
-            self._hdrf_serial(ctx, engine, bu, bv, positions, theta, 0)
-            return 0
-        engine.flush()
-        sizes = ctx.state.sizes
-        if ctx.state.capacity - int(sizes.max()) < b:
-            self._hdrf_serial(ctx, engine, bu, bv, positions, theta, 0)
-            return 0
-        replicas = ctx.state.replicas
-        k = ctx.k
-        lam = ctx.hdrf_lambda
-        tu = 2.0 - theta
-        tv = 1.0 + theta
-        ru0 = replicas[bu]
-        rv0 = replicas[bv]
-        rep0 = ru0 * tu[:, None] + rv0 * tv[:, None]
-        s0 = sizes.astype(np.float64)
-        # Occurrence bookkeeping for the running-replica reconstruction:
-        # endpoint occurrences in stream order, grouped by vertex id.
-        ids = np.empty(2 * b, dtype=np.int64)
-        ids[0::2] = bu
-        ids[1::2] = bv
-        order = np.argsort(ids, kind="stable")
-        has_dups = np.unique(ids).shape[0] < 2 * b
-        if has_dups:
-            gids = ids[order]
-            occ_edge = np.repeat(np.arange(b), 2)[order]
-            t = np.arange(2 * b)
-            new_group = np.empty(2 * b, dtype=bool)
-            new_group[0] = True
-            new_group[1:] = gids[1:] != gids[:-1]
-            gstart = np.maximum.accumulate(np.where(new_group, t, 0))
-            # Both occurrences of a self-loop edge sit adjacent in its
-            # group; the second must not see the first (an edge reads
-            # its replica rows before writing them).
-            same_edge_prev = np.zeros(2 * b, dtype=bool)
-            same_edge_prev[1:] = ~new_group[1:] & (
-                occ_edge[1:] == occ_edge[:-1]
-            )
-            self_rows = np.flatnonzero(same_edge_prev)
-        # Initial speculation: every edge scored under pre-block state.
-        maxs = s0.max()
-        mins = s0.min()
-        bal0 = lam * (maxs - s0) / (eps + maxs - mins)
-        p = np.argmax(rep0 + bal0[None, :], axis=1)
-        part_range = np.arange(k)
-        verified = 0
-        for _ in range(HDRF_SPECULATION_ROUNDS):
-            onehot = p[:, None] == part_range
-            before = np.cumsum(onehot, axis=0) - onehot
-            S = s0[None, :] + before
-            M = S.max(axis=1)
-            m_ = S.min(axis=1)
-            if has_dups:
-                occ_p = np.repeat(p, 2)[order]
-                pbits = occ_p[:, None] == part_range
-                # Segmented inclusive prefix-OR (Hillis-Steele; the RHS
-                # fancy index copies, so the in-place OR cannot alias).
-                shift = 1
-                while shift < 2 * b:
-                    rows = np.flatnonzero(t - gstart >= shift)
-                    pbits[rows] |= pbits[rows - shift]
-                    shift <<= 1
-                vis = np.zeros_like(pbits)
-                vis[1:][~new_group[1:]] = pbits[:-1][~new_group[1:]]
-                if self_rows.size:
-                    vis[self_rows] = vis[self_rows - 1]
-                vis_orig = np.empty_like(vis)
-                vis_orig[order] = vis
-                rep = (ru0 | vis_orig[0::2]) * tu[:, None] + (
-                    rv0 | vis_orig[1::2]
-                ) * tv[:, None]
-            else:
-                rep = rep0
-            scores = rep + lam * (M[:, None] - S) / (eps + M - m_)[:, None]
-            p_new = np.argmax(scores, axis=1)
-            agree = p_new == p
-            if agree.all():
-                verified = b
-                break
-            i0 = int(np.argmin(agree))
-            p[i0:] = p_new[i0:]
-            verified = i0 + 1
-        if verified:
-            vp = p[:verified]
-            sizes += np.bincount(vp, minlength=k)
-            replicas[bu[:verified], vp] = True
-            replicas[bv[:verified], vp] = True
-            ctx.assignments[positions[:verified]] = vp
-            engine.note_batch(bu[:verified], bv[:verified], vp)
-        if verified < b:
-            self._hdrf_serial(ctx, engine, bu, bv, positions, theta, verified)
-        return verified
-
-    @staticmethod
-    def _hdrf_serial(ctx, engine, bu, bv, positions, theta, start) -> None:
-        """Per-edge serial decisions through the scalar engine for the
-        rows of a block the speculation did not verify."""
-        if start >= bu.shape[0]:
-            return
-        ps = engine.run_serial(bu, bv, theta, start)
-        ctx.assignments[positions[start:]] = ps
-        engine.defer(bu[start:], bv[start:], ps)
-
-    # ------------------------------------------------------------------
-    # Classic streaming baselines
-    # ------------------------------------------------------------------
     def hdrf_baseline_pass(self, stream, ctx: TwoPhaseContext) -> np.ndarray:
-        """Blocked classic HDRF via the speculate-verify-repair machinery.
+        """Classic HDRF: per-chunk partial-degree theta, scalar decisions.
 
-        The 2PS-HDRF block kernel takes a *per-edge* theta array, and the
-        baseline's partial-degree updates are decision-independent — so
-        the per-edge partial degrees at decision time can be
-        reconstructed exactly before any decision is made: each
-        endpoint's counter equals the pre-block count plus its inclusive
-        occurrence rank within the block (both endpoints of a self-loop
-        land on the same counter, handled by counting interleaved
-        endpoint slots).  With theta exact, :meth:`_hdrf_block` and the
-        scalar engine apply unchanged and the accepted decisions are
-        provably the serial reference ones.
+        The baseline's partial-degree updates are decision-independent,
+        so each edge's partial degrees at decision time are reconstructed
+        for a whole chunk before any decision is made: each endpoint's
+        counter equals the pre-chunk count plus its inclusive occurrence
+        rank within the chunk (both endpoints of a self-loop land on the
+        same counter, handled by ranking interleaved endpoint slots).
         """
         from repro.core.scoring import HDRF_EPSILON
 
-        if ctx.hdrf_lambda <= 0.0:
-            # Same degenerate-balance demotion as remaining_pass_hdrf:
-            # the scalar engine's category collapse needs lam > 0.
+        if not _HdrfScalarEngine.exact(
+            ctx.hdrf_lambda, HDRF_EPSILON, ctx.state.sizes, stream.n_edges
+        ):
             return super().hdrf_baseline_pass(stream, ctx)
         n = int(ctx.state.n_vertices)
         engine = _HdrfScalarEngine(ctx, HDRF_EPSILON)
         if stream.n_edges > 4 * n:
             engine.pack_all()
         partial = np.zeros(n, dtype=np.int64)
-        speculate = True
-        win_edges = 0
-        win_batched = 0
         idx = 0
         for chunk in stream.chunks():
             c = chunk.shape[0]
             if c == 0:
                 continue
-            u = np.ascontiguousarray(chunk[:, 0])
-            v = np.ascontiguousarray(chunk[:, 1])
-            positions = idx + np.arange(c)
-            for s in range(0, c, HDRF_BLOCK):
-                e = min(s + HDRF_BLOCK, c)
-                bu = u[s:e]
-                bv = v[s:e]
-                b = e - s
-                # Inclusive occurrence ranks over interleaved endpoint
-                # slots (u at even, v at odd positions), grouped by
-                # vertex id via one stable argsort.
-                ids = np.empty(2 * b, dtype=np.int64)
-                ids[0::2] = bu
-                ids[1::2] = bv
-                order = np.argsort(ids, kind="stable")
-                t = np.arange(2 * b)
-                gids = ids[order]
-                new_group = np.empty(2 * b, dtype=bool)
-                new_group[0] = True
-                new_group[1:] = gids[1:] != gids[:-1]
-                gstart = np.maximum.accumulate(np.where(new_group, t, 0))
-                inc = np.empty(2 * b, dtype=np.int64)
-                inc[order] = t - gstart + 1
-                # A self-loop bumps u's counter twice before scoring; its
-                # even slot only counted the first bump.
-                du = partial[bu] + inc[0::2] + (bu == bv)
-                dv = partial[bv] + inc[1::2]
-                theta = du / (du + dv)
-                batched = self._hdrf_block(
-                    ctx, engine, bu, bv, positions[s:e], theta,
-                    HDRF_EPSILON, speculate,
-                )
-                partial += np.bincount(ids, minlength=n)
-                if speculate:
-                    win_edges += b
-                    win_batched += batched
-                    if win_edges >= 8 * HDRF_BLOCK:
-                        # Rolling demotion, as in remaining_pass_hdrf.
-                        speculate = win_batched >= 0.25 * win_edges
-                        win_edges = 0
-                        win_batched = 0
+            # Endpoint slots in stream order: u at even, v at odd positions.
+            ids = np.asarray(chunk, dtype=np.int64).ravel()
+            inc = _group_rank(ids) + 1
+            u = ids[0::2]
+            v = ids[1::2]
+            # A self-loop bumps u's counter twice before scoring; its
+            # even slot only counted the first bump.
+            du = partial[u] + inc[0::2] + (u == v)
+            dv = partial[v] + inc[1::2]
+            ctx.assignments[idx : idx + c] = engine.run(u, v, du / (du + dv))
+            partial += np.bincount(ids, minlength=n)
             idx += c
-        engine.flush()
         ctx.cost.score_evaluations += ctx.k * stream.n_edges
         ctx.cost.edges_streamed += stream.n_edges
         return partial
 
 
 class _HdrfScalarEngine:
-    """Scalar mirror of the live 2PS-HDRF pass state.
+    """Scalar mirror of the live HDRF pass state.
 
     The HDRF argmax reads the two endpoints' replica rows and every
     partition's size; evaluated with per-edge numpy calls (the
@@ -980,11 +510,9 @@ class _HdrfScalarEngine:
     values — ``tu + tv`` (both endpoints replicated), ``tu``, ``tv``,
     and ``0.0`` — and within one such *category* the score differs only
     by the balance term, which is strictly decreasing in the partition
-    size (``lam > 0``; strict because consecutive integer sizes are
-    orders of magnitude above one float ulp apart).  Hence only the
-    lowest-indexed minimum-size partition of each category can enter
-    the argmax set, and the full k-way argmax collapses to at most four
-    exactly-scored candidates.
+    size.  Hence only the lowest-indexed minimum-size partition of each
+    category can enter the argmax set, and the full k-way argmax
+    collapses to at most four exactly-scored candidates.
 
     State kept per pass:
 
@@ -999,16 +527,31 @@ class _HdrfScalarEngine:
       scores (lowest set bit wins, as ``np.argmax``), across categories
       float-equal candidate scores resolve by partition index.
 
+    Exactness range.  Rounding is monotone, so the balance term never
+    *increases* with the size; the collapse needs it to strictly
+    decrease, and the dominance fast path of :meth:`run` needs its
+    replication margin of at least ``min(tu, tv) >= 1.0`` to survive
+    rounding.  Between two sizes of one category the exact balance terms
+    differ by at least ``lam / (eps + spread)``, where ``spread`` bounds
+    ``max(sizes) - min(sizes)`` over the pass.  Every computed score is
+    within ``3 * ulp(3 + lam)`` of its exact value (two roundings in the
+    balance term, one in the sum), so two scores whose exact values
+    differ by more than ``6 * ulp(3 + lam)`` keep their strict order.
+    :meth:`exact` asks for ``8 * ulp(3 + lam)`` below both the step
+    ``lam / (eps + spread)`` and ``1.0``.  Outside that range
+    (``lam <= 0`` or non-finite; ``lam`` so small that the steps vanish
+    below ``ulp(3)``; ``lam`` above about ``5e14``, where the margin of
+    1.0 does) the numpy passes run the reference kernel instead.
+
     Decisions are made against the engine's scalar state; the matching
-    numpy-state updates (replica matrix, size vector) are *deferred* and
-    applied vectorized by :meth:`flush` — before a speculative block
-    reads the numpy state, and at the end of the pass — so the serial
-    hot loop performs no numpy writes at all.
+    numpy-state updates (replica matrix, size vector) are applied
+    vectorized once per :meth:`run` call, so the hot loop performs no
+    numpy writes at all.
     """
 
     __slots__ = (
         "lam", "eps", "capacity", "replicas", "np_sizes", "masks",
-        "sizes", "levels", "order", "all_mask", "pending",
+        "sizes", "levels", "order", "all_mask",
     )
 
     def __init__(self, ctx, eps) -> None:
@@ -1025,7 +568,15 @@ class _HdrfScalarEngine:
             levels[s] = levels.get(s, 0) | (1 << p)
         self.levels = levels
         self.order = sorted(levels)
-        self.pending: list[tuple] = []
+
+    @staticmethod
+    def exact(lam, eps, sizes, n_edges) -> bool:
+        """Whether the engine is bit-exact for a pass of ``n_edges``
+        edges starting from ``sizes`` (see *Exactness range*)."""
+        # max - min <= max, and the max grows by at most one per edge.
+        spread = int(sizes.max()) + int(n_edges)
+        slack = 8.0 * math.ulp(3.0 + lam)
+        return lam > 0.0 and slack < 1.0 and lam / (eps + spread) > slack
 
     def _pack_row(self, vertex) -> int:
         """Pack one replica row into an int bitmask (first touch only)."""
@@ -1053,66 +604,10 @@ class _HdrfScalarEngine:
             dense[vertex] = mask
         self.masks = dense
 
-    def note_batch(self, bu, bv, bp) -> None:
-        """Absorb a vectorized block apply (numpy state already updated)."""
-        masks = self.masks
-        if isinstance(masks, list):
-            for u, v, p in zip(bu.tolist(), bv.tolist(), bp.tolist()):
-                bit = 1 << p
-                masks[u] |= bit
-                masks[v] |= bit
-                self._bump(p, bit)
-            return
-        pack = self._pack_row
-        for u, v, p in zip(bu.tolist(), bv.tolist(), bp.tolist()):
-            bit = 1 << p
-            mu = masks.get(u)
-            # The numpy replica row already carries this batch's bit, so
-            # a fresh pack absorbs it; the |= is only for cached masks.
-            masks[u] = (pack(u) if mu is None else mu) | bit
-            mv = masks.get(v)
-            masks[v] = (pack(v) if mv is None else mv) | bit
-            self._bump(p, bit)
-
-    def defer(self, bu, bv, bp) -> None:
-        """Queue numpy-state updates for a serially-decided segment."""
-        self.pending.append((bu, bv, bp))
-
-    def flush(self) -> None:
-        """Apply deferred segments to the numpy replica matrix / sizes."""
-        if not self.pending:
-            return
-        us = np.concatenate([seg[0] for seg in self.pending])
-        vs = np.concatenate([seg[1] for seg in self.pending])
-        ps = np.concatenate([seg[2] for seg in self.pending])
-        self.pending.clear()
-        self.replicas[us, ps] = True
-        self.replicas[vs, ps] = True
-        self.np_sizes += np.bincount(ps, minlength=self.np_sizes.shape[0])
-
-    def _bump(self, p, bit) -> None:
-        """Move partition ``p`` one size level up."""
-        sizes = self.sizes
-        s = sizes[p]
-        sizes[p] = s + 1
-        levels = self.levels
-        rest = levels[s] & ~bit
-        if rest:
-            levels[s] = rest
-        else:
-            del levels[s]
-            self.order.remove(s)
-        s1 = s + 1
-        if s1 in levels:
-            levels[s1] |= bit
-        else:
-            levels[s1] = bit
-            insort(self.order, s1)
-
-    def run_serial(self, bu, bv, theta, start) -> np.ndarray:
-        """Decide rows ``start..`` of a block serially; returns their
-        partitions.  numpy-state updates are deferred (the caller routes
-        them through :meth:`defer`; :meth:`flush` applies them).
+    def run(self, bu, bv, theta) -> np.ndarray:
+        """Decide edges ``(bu[i], bv[i])`` in order; returns their
+        partitions and applies them to the numpy replica matrix and
+        sizes in one vectorized write.
 
         The four replication categories are unrolled inline — this is
         the hot loop of the whole 2PS-HDRF pipeline, so it trades
@@ -1134,7 +629,7 @@ class _HdrfScalarEngine:
         all_mask = self.all_mask
         out = []
         append = out.append
-        for i in range(start, len(lu)):
+        for i in range(len(lu)):
             u = lu[i]
             v = lv[i]
             if dense:
@@ -1158,8 +653,8 @@ class _HdrfScalarEngine:
                     # the global minimum size has the maximal balance term
                     # on top of the maximal replication term, beating any
                     # other partition by at least min(tu, tv) >= 1.0 —
-                    # orders of magnitude above float rounding, so no
-                    # score needs computing at all.
+                    # above the rounding error in the exactness range, so
+                    # no score needs computing at all.
                     best_p = (L & -L).bit_length() - 1
                     bit = 1 << best_p
                     masks[u] = mu | bit
@@ -1264,4 +759,8 @@ class _HdrfScalarEngine:
                 levels[s1] = bit
                 insort(order, s1)
             append(best_p)
-        return np.asarray(out, dtype=np.int64)
+        ps = np.asarray(out, dtype=np.int64)
+        self.replicas[bu, ps] = True
+        self.replicas[bv, ps] = True
+        self.np_sizes += np.bincount(ps, minlength=self.np_sizes.shape[0])
+        return ps

@@ -110,9 +110,7 @@ class PythonBackend(KernelBackend):
     @staticmethod
     def true_degree_edges(v2c, vol, deg, pairs, cap) -> int:
         """Reference Algorithm-1 body over ``(u, v)`` pairs on list state;
-        returns the number of cluster updates.  Shared with the numpy
-        backend, which falls back to this kernel when a pass turns out to
-        be serial-dominated."""
+        returns the number of cluster updates."""
         updates = 0
         for u, v in pairs:
             cu = v2c[u]
@@ -342,10 +340,11 @@ class PythonBackend(KernelBackend):
         ``np.argmax``).
 
         This is the reference implementation of the HDRF decision — the
-        reference 2PS-HDRF pass, the ``numpy`` backend's serial fallback
-        and the classic HDRF baseline all route through it, so the
-        score arithmetic (and therefore its float rounding) cannot
-        diverge between them.  One exception by necessity: the jitted
+        reference 2PS-HDRF pass and the classic HDRF baseline (which the
+        ``numpy`` backend also runs outside its engine's exact lambda
+        range) both route through it, so the score arithmetic (and
+        therefore its float rounding) cannot diverge between them.  One
+        exception by necessity: the jitted
         ``numba_backend._remaining_hdrf_kernel`` inlines these exact
         expressions (compiled code cannot call back into Python); any
         change here must be mirrored there in lockstep, and the

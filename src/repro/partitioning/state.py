@@ -344,8 +344,8 @@ class PartitionState:
             raise PartitioningError(f"k must be >= 2, got {k}")
         if n_vertices < 0 or n_edges < 0:
             raise PartitioningError("n_vertices and n_edges must be >= 0")
-        if alpha < 1.0:
-            raise BalanceError(f"alpha must be >= 1, got {alpha}")
+        if not 1.0 <= alpha < math.inf:
+            raise BalanceError(f"alpha must be finite and >= 1, got {alpha}")
         self.n_vertices = int(n_vertices)
         self.k = int(k)
         self.n_edges = int(n_edges)

@@ -6,10 +6,11 @@ stream features, and picks values for the three pure execution knobs:
 
 - ``backend`` — the kernel backend (prefer a compiled backend when the
   optional dependency is importable, else the vectorized default);
-- ``chunk_size`` — the streaming chunk granularity, starting from
-  :func:`repro.streaming.stream.auto_chunk_size` and shrunk when the
-  probe shows heavy endpoint duplication (conflict-dense chunks degrade
-  the speculate-verify sub-batching, so smaller chunks win);
+- ``chunk_size`` — the streaming chunk granularity,
+  :func:`repro.streaming.stream.auto_chunk_size` of the declared shape.
+  The probe's duplication and hub rates are recorded with the decision
+  but do not shrink the chunk: the one batched stateful pass (2PS-L
+  scoring) detects conflicts per fixed-size block, not per chunk;
 - ``sync_interval`` — the parallel runner's barrier period, tuned **only
   when it is semantics-free** (a single worker, or the serial runner,
   where the state view is never stale).
@@ -44,7 +45,7 @@ import numpy as np
 
 from repro.kernels import available_backends
 from repro.partitioning.hashutil import splitmix64
-from repro.streaming.stream import AUTO_CHUNK_MIN, auto_chunk_size
+from repro.streaming.stream import auto_chunk_size
 
 #: Seed mixed into the probe-window offsets, decorrelating the tuner from
 #: every other splitmix64 consumer (hash fallback, stateless baselines).
@@ -57,12 +58,6 @@ PROBE_WINDOWS = 4
 #: Prefix of the stream the probe may touch; bounds tuning cost at O(1)
 #: in ``|E|``.
 PROBE_SPAN_EDGES = 65_536
-
-#: Endpoint-duplication thresholds: above the first the base chunk size
-#: is halved, above the second it is quartered (conflict-dense chunks
-#: make the verify-repair path dominate, so smaller chunks win).
-DUP_RATE_HALF = 0.25
-DUP_RATE_QUARTER = 0.50
 
 #: Tuned ``sync_interval`` as a multiple of the chunk size (only applied
 #: when barrier frequency is semantics-free; fewer barriers, same bits).
@@ -172,12 +167,7 @@ def tune_run(partitioner, stream, k: int, chunk_size) -> TuningDecision:
 
     chunk = None
     if chunk_size in (None, "auto"):
-        base = auto_chunk_size(stream.n_vertices, k)
-        if features["dup_rate"] > DUP_RATE_QUARTER:
-            base //= 4
-        elif features["dup_rate"] > DUP_RATE_HALF:
-            base //= 2
-        chunk = max(int(base), AUTO_CHUNK_MIN)
+        chunk = auto_chunk_size(stream.n_vertices, k)
 
     sync_interval = None
     runner_kind = getattr(getattr(partitioner, "runner", None), "kind", None)

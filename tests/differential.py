@@ -397,10 +397,11 @@ def check_seed(
     return case
 
 
-#: k values of the out-of-core tier: above 8 so a packed row spans more
-#: than one byte, and mostly off byte boundaries so the tail bits of the
-#: last byte are exercised (16 pins the exact-boundary case).
-_HUGE_K = (9, 11, 13, 16, 17, 23, 31, 33)
+#: k values of the out-of-core tier: 8 pins a packed plane of exactly one
+#: byte per row, the rest span more than one byte, mostly off byte
+#: boundaries so the tail bits of the last byte are exercised (16 pins
+#: the exact multi-byte boundary).
+_HUGE_K = (8, 9, 11, 13, 16, 17, 23, 31, 33)
 
 #: Storage variants of the out-of-core tier, in sweep order.  The first
 #: entry is the per-cell baseline every other variant must match.

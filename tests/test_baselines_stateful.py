@@ -57,8 +57,8 @@ class TestHDRFBackends:
     """Batched baseline bit-exactness across kernel backends (ISSUE 8).
 
     The baseline pass dispatches through the kernel registry; the
-    vectorized ``numpy`` twin reconstructs partial degrees per block and
-    runs the speculate-verify-repair machinery, and must land on exactly
+    ``numpy`` twin reconstructs partial degrees per chunk and decides
+    each edge through its exact scalar engine, and must land on exactly
     the per-edge reference decisions — assignments, replicas, sizes AND
     the simulated cost counters.  (The numba twins are pinned in
     ``tests/test_numba_backend.py``, where registration is managed.)

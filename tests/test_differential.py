@@ -30,10 +30,10 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 SEED_MATRIX = (11, 23, 58, 101, 240, 397, 1009, 4242)
 
 #: Fixed seed matrix of the huge-shape out-of-core tier.  Chosen to
-#: cover every generator, both modes, n_workers == 1 and > 1, and k
-#: both on and off a byte boundary (the packed-row tail bits); see
-#: ``test_out_of_core_matrix_covers_surface``.
-OUT_OF_CORE_SEED_MATRIX = (8, 12, 14)
+#: cover every generator, both modes, n_workers == 1 and > 1, k = 8 (a
+#: packed row of exactly one byte), and k both on and off a byte boundary
+#: (the packed-row tail bits); see ``test_out_of_core_matrix_covers_surface``.
+OUT_OF_CORE_SEED_MATRIX = (8, 11, 12, 14)
 
 #: Extra seeds for a longer local soak (kept empty in CI for run time).
 EXTRA_RANDOM_SEEDS = ()
@@ -53,10 +53,12 @@ def test_out_of_core_differential_seed(seed):
 
 def test_out_of_core_matrix_covers_surface():
     """The out-of-core matrix must keep stressing the packed-row layout
-    (multi-byte rows, tail bits, the exact byte boundary) and both ends
-    of the worker/mode dimensions."""
+    (one-byte rows, multi-byte rows, tail bits, the exact byte boundary)
+    and both ends of the worker/mode dimensions."""
     cases = [make_huge_case(seed) for seed in OUT_OF_CORE_SEED_MATRIX]
-    assert all(c.k > 8 for c in cases)
+    assert all(c.k >= 8 for c in cases)
+    assert any(c.k == 8 for c in cases)
+    assert any(c.k > 8 for c in cases)
     assert any(c.k % 8 == 0 for c in cases)
     assert any(c.k % 8 != 0 for c in cases)
     assert {c.mode for c in cases} == {"linear", "hdrf"}

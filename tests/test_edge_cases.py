@@ -9,7 +9,9 @@ stability checks.
 import numpy as np
 import pytest
 
-from repro.core import TwoPhasePartitioner
+from repro.baselines import HDRF
+from repro.core import ParallelTwoPhase, TwoPhasePartitioner
+from repro.errors import BalanceError, ConfigurationError
 from repro.graph import Graph
 from repro.metrics import validate_partition
 from repro.streaming.order import degree_sorted_order, shuffled_copy
@@ -121,6 +123,26 @@ class TestAlphaSweep:
         assert sizes.max() - sizes.min() <= 1 or sizes.max() <= np.ceil(
             powerlaw_graph.n_edges / 8
         )
+
+
+class TestNonFiniteKnobs:
+    """A non-finite alpha or HDRF lambda fails with a typed error, never
+    a raw ValueError/OverflowError or a silently different partition."""
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("make", [TwoPhasePartitioner, HDRF])
+    def test_non_finite_alpha_is_a_balance_error(self, toy_graph, make, alpha):
+        with pytest.raises(BalanceError, match="alpha"):
+            make().partition(toy_graph, 4, alpha=alpha)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_lambda_is_a_configuration_error(self, lam):
+        with pytest.raises(ConfigurationError, match="lambda"):
+            TwoPhasePartitioner(mode="hdrf", hdrf_lambda=lam)
+        with pytest.raises(ConfigurationError, match="lambda"):
+            ParallelTwoPhase(mode="hdrf", hdrf_lambda=lam)
+        with pytest.raises(ConfigurationError, match="lambda"):
+            HDRF(lam=lam)
 
 
 class TestLargeK:

@@ -36,6 +36,11 @@ from repro.streaming import DEFAULT_CHUNK_SIZE, InMemoryEdgeStream
 #: Every non-reference backend is pinned to the reference here.
 VECTOR_BACKENDS = [n for n in available_backends() if n != "python"]
 
+#: HDRF balance weights swept against the reference: degenerate (0), the
+#: paper's 1.1, dominant (15), and both sides of the numpy engine's
+#: exactness range.
+HDRF_LAMBDAS = [0.0, 1e-16, 1.1, 15.0, 1e16]
+
 
 def _merge_op_backends():
     """Backend instances for the Phase-1 merge-op twins: every registered
@@ -167,9 +172,9 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("chunk_size", [1, 64, 10**6])
     def test_hub_heavy_rmat_bit_exact(self, backend, mode, chunk_size):
         """Hub-heavy R-MAT: worst case for conflict-free batching (hubs
-        collide in nearly every block) and for the HDRF speculation
-        (balance-dominated decisions); chunk_size sweeps through 1 and
-        far beyond |E|."""
+        collide in nearly every block) and for the HDRF engine's category
+        collapse (balance-dominated decisions); chunk_size sweeps through
+        1 and far beyond |E|."""
         graph = rmat_graph(9, edge_factor=8, seed=3)
         ref = TwoPhasePartitioner(backend="python", mode=mode).partition(
             graph, 8, chunk_size=chunk_size
@@ -179,10 +184,13 @@ class TestBackendEquivalence:
         )
         assert_results_identical(ref, out)
 
-    @pytest.mark.parametrize("hdrf_lambda", [0.0, 1.1, 15.0])
+    @pytest.mark.parametrize("hdrf_lambda", HDRF_LAMBDAS)
     def test_2pshdrf_lambda_sweep_bit_exact(self, backend, hdrf_lambda):
-        """Degenerate (0: reference-kernel fallback) and dominant balance
-        weights both stay bit-exact."""
+        """Degenerate (0), dominant and extreme balance weights all stay
+        bit-exact.  At 1e-16 the balance steps vanish below one ulp of
+        the replication term, at 1e16 the replication margin of 1.0
+        does: both are outside the numpy engine's exactness range and
+        must take the reference kernel."""
         graph = rmat_graph(8, edge_factor=8, seed=5)
         ref = TwoPhasePartitioner(
             backend="python", mode="hdrf", hdrf_lambda=hdrf_lambda
@@ -190,6 +198,16 @@ class TestBackendEquivalence:
         out = TwoPhasePartitioner(
             backend=backend, mode="hdrf", hdrf_lambda=hdrf_lambda
         ).partition(graph, 6)
+        assert_results_identical(ref, out)
+
+    @pytest.mark.parametrize("hdrf_lambda", HDRF_LAMBDAS)
+    def test_hdrf_baseline_lambda_sweep_bit_exact(self, backend, hdrf_lambda):
+        """The classic-HDRF twin of the 2PS-HDRF lambda sweep."""
+        from repro.baselines import HDRF
+
+        graph = rmat_graph(8, edge_factor=8, seed=5)
+        ref = HDRF(lam=hdrf_lambda, backend="python").partition(graph, 6)
+        out = HDRF(lam=hdrf_lambda, backend=backend).partition(graph, 6)
         assert_results_identical(ref, out)
 
     def test_2pshdrf_tight_cap_bit_exact(self, backend):

@@ -20,7 +20,9 @@ import pytest
 from repro.baselines import HDRF
 from repro.core import ParallelTwoPhase, TwoPhasePartitioner
 from repro.errors import ConfigurationError, PartitioningError
+from repro.graph.generators import rmat_graph
 from repro.streaming import InMemoryEdgeStream
+from repro.streaming.stream import auto_chunk_size
 from repro.tuning import (
     PROBE_SPAN_EDGES,
     TuningDecision,
@@ -82,6 +84,16 @@ class TestKnobGating:
         for request in (None, "auto"):
             d = tune_run(p, InMemoryEdgeStream(powerlaw_graph), 8, request)
             assert isinstance(d.chunk_size, int) and d.chunk_size > 0
+
+    def test_hub_heavy_stream_tunes_to_auto_chunk_size(self):
+        """Endpoint duplication is recorded but does not shrink the chunk:
+        a duplication-dense hub-heavy R-MAT tunes to the plain
+        ``auto_chunk_size(|V|, k)``."""
+        graph = rmat_graph(12, edge_factor=16, seed=3, a=0.7, b=0.12, c=0.12)
+        stream = InMemoryEdgeStream(graph)
+        d = tune_run(TwoPhasePartitioner(), stream, 8, None)
+        assert d.features["dup_rate"] > 0.5
+        assert d.chunk_size == auto_chunk_size(stream.n_vertices, 8)
 
     def test_sync_interval_only_when_semantics_free(self, powerlaw_graph):
         stream = InMemoryEdgeStream(powerlaw_graph)
