@@ -9,8 +9,8 @@ stream features, and picks values for the three pure execution knobs:
 - ``chunk_size`` — the streaming chunk granularity,
   :func:`repro.streaming.stream.auto_chunk_size` of the declared shape.
   The probe's duplication and hub rates are recorded with the decision
-  but do not shrink the chunk: the one batched stateful pass (2PS-L
-  scoring) detects conflicts per fixed-size block, not per chunk;
+  but no knob reads them: the one batched stateful pass (2PS-L scoring)
+  detects conflicts per fixed-size block, not per chunk;
 - ``sync_interval`` — the parallel runner's barrier period, tuned **only
   when it is semantics-free** (a single worker, or the serial runner,
   where the state view is never stale).
@@ -18,10 +18,11 @@ stream features, and picks values for the three pure execution knobs:
 Determinism contract (pinned by ``tests/test_tuning.py`` and the
 differential harness's ``tune`` dimension):
 
-- decisions are pure functions of the probe data, the declared stream
-  shape (``|E|``, ``|V|``, ``k``), the tuner seed and the set of
-  available backends — **never** of wall-clock measurements, so the same
-  stream always tunes the same way;
+- decisions are pure functions of the declared stream shape (``|V|``,
+  ``k``) and the set of available backends — **never** of wall-clock
+  measurements, so the same stream always tunes the same way (the
+  probe's features are recorded only, and are themselves a pure
+  function of the stream and the tuner seed);
 - every tuned knob is semantics-free by the kernel-backend / runner
   contracts, so a tuned run is bit-exact with an untuned one (same
   assignments, replicas, sizes and operation counts);
@@ -151,8 +152,9 @@ def tune_run(partitioner, stream, k: int, chunk_size) -> TuningDecision:
     are tuned.  The partitioner's own ``backend`` attribute gates backend
     tuning, and ``sync_interval`` is only tuned when the partitioner has
     one *and* staleness cannot arise (``n_workers == 1`` or the serial
-    runner).  Decisions are pure functions of the probe (see the module
-    docstring); no timing is involved.
+    runner).  Decisions are pure functions of the declared shape and the
+    available backends (see the module docstring); the probe's features
+    are recorded only, and no timing is involved.
     """
     features = probe_features(stream, k)
     backends = available_backends()
